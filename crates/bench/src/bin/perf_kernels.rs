@@ -212,23 +212,22 @@ fn bench_simd_affine(neurons: usize, generators: usize, reps: usize) -> Sample {
     }
 }
 
-/// Region throughput under the two scheduling disciplines: the same
-/// refinement-heavy verification run on the shared-queue fallback
-/// (naive) and the work-stealing scheduler (fast). On a single-core
-/// host the two coincide; the row exists so scheduler regressions are
-/// visible wherever the baseline was recorded.
+/// Region throughput of the region driver: the same refinement-heavy
+/// verification run on one inline worker (naive) and on four
+/// work-stealing workers (fast). On a host with fewer cores than workers
+/// the parallel run cannot win; the row exists so scheduler regressions
+/// are visible wherever the baseline was recorded.
 fn bench_scheduler_throughput(reps: usize) -> Sample {
     use std::sync::Arc;
     let net = nn::samples::xor_network();
     let prop = charon::RobustnessProperty::new(Bounds::new(vec![0.3, 0.3], vec![0.7, 0.7]), 1);
     let threads = 4;
-    let timed = |mode: charon::SchedulerMode| {
+    let timed = |workers: usize| {
         let verifier = charon::parallel::ParallelVerifier::new(
             Arc::new(charon::policy::FixedPolicy::new(domains::DomainChoice::interval())),
             charon::VerifierConfig::default(),
-            threads,
-        )
-        .with_scheduler(mode);
+            workers,
+        );
         let net = &net;
         let prop = &prop;
         move || {
@@ -237,13 +236,13 @@ fn bench_scheduler_throughput(reps: usize) -> Sample {
             run.stats.regions as f64
         }
     };
-    let naive_s = time_median(reps, timed(charon::SchedulerMode::SharedQueue));
-    let fast_s = time_median(reps, timed(charon::SchedulerMode::WorkStealing));
+    let naive_s = time_median(reps, timed(1));
+    let fast_s = time_median(reps, timed(threads));
     Sample {
         name: "scheduler_throughput",
         naive_s,
         fast_s,
-        note: format!("xor interval refinement, {threads} workers, shared queue vs work stealing"),
+        note: format!("xor interval refinement, 1 inline worker vs {threads} work-stealing workers"),
     }
 }
 

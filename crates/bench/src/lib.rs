@@ -288,12 +288,12 @@ pub fn run_suite(tool: &Tool, suite: &NetworkSuite, scale: &Scale) -> Vec<ToolRu
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<Option<ToolRun>>> = Mutex::new(vec![None; suite.benchmarks.len()]);
     let threads = scale.effective_threads().min(suite.benchmarks.len().max(1));
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads {
             let next = &next;
             let results = &results;
             let tool = tool.clone();
-            scope.spawn(move |_| loop {
+            scope.spawn(move || loop {
                 let idx = next.fetch_add(1, Ordering::Relaxed);
                 if idx >= suite.benchmarks.len() {
                     return;
@@ -302,8 +302,7 @@ pub fn run_suite(tool: &Tool, suite: &NetworkSuite, scale: &Scale) -> Vec<ToolRu
                 results.lock()[idx] = Some(run);
             });
         }
-    })
-    .expect("bench worker panicked");
+    });
     results
         .into_inner()
         .into_iter()

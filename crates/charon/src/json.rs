@@ -1,7 +1,7 @@
 //! Hand-rolled flat-JSON encoding and parsing.
 //!
-//! The workspace deliberately has no `serde_json` (the vendored `serde`
-//! is a marker-trait stub), so every machine-readable surface — the
+//! The workspace deliberately has no `serde_json` (it builds offline
+//! without crates.io), so every machine-readable surface — the
 //! [`crate::telemetry`] JSONL trace stream, the bench `BENCH_*.json`
 //! files, and the verification server's newline-delimited protocol —
 //! shares this one module instead of growing private dialects.

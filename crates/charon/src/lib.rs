@@ -16,10 +16,8 @@
 //!   ablations.
 //! * [`train`] — the training phase (§4.2): Bayesian optimization of the
 //!   policy parameters θ against a corpus of training problems.
-//! * [`parallel`] — a multi-threaded region solver, mirroring the
-//!   parallelization described in §6.
-//! * [`portfolio`] — races several policies on the same property, taking
-//!   the first decisive verdict (an extension).
+//! * [`parallel`] — the same region driver on several worker threads,
+//!   mirroring the parallelization described in §6.
 //! * [`report`] — certified-accuracy measurement over labelled point sets
 //!   (the standard deployment-facing metric).
 //!
@@ -86,6 +84,7 @@
 mod checkpoint;
 mod error;
 mod property;
+mod sched;
 mod verify;
 
 pub mod deadline;
@@ -93,22 +92,20 @@ pub mod faults;
 pub mod json;
 pub mod parallel;
 pub mod policy;
-pub mod portfolio;
 pub mod report;
-pub mod sched;
 pub mod telemetry;
 pub mod train;
 
 pub use checkpoint::Checkpoint;
 pub use error::{BudgetKind, VerifyError};
 pub use property::RobustnessProperty;
-pub use sched::SchedulerMode;
 pub use telemetry::{
     JsonlSink, Metrics, NodeRow, NullSink, OverloadStats, RunReport, SummarySink, TraceEvent,
     TraceSink,
 };
 pub use verify::{
-    Counterexample, Verdict, Verifier, VerifierConfig, VerifyRun, VerifyStats,
+    verdict_supersedes, Counterexample, Verdict, Verifier, VerifierConfig, VerifyRun,
+    VerifyStats,
 };
 
 pub use cert::{

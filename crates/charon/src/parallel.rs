@@ -1,110 +1,40 @@
 //! Multi-threaded region solving.
 //!
 //! The original implementation runs independent abstract-interpretation
-//! calls on as many threads as the host provides (§6). This module
-//! parallelizes Algorithm 1 over a shared region worklist: workers pop
-//! regions, run counterexample search and abstract interpretation, and
-//! push split sub-regions back. The first δ-counterexample found aborts
-//! the whole run.
+//! calls on as many threads as the host provides (§6). A
+//! [`ParallelVerifier`] runs the [`crate::Verifier`]'s own region driver
+//! on several workers: they pop regions from one work-stealing
+//! scheduler (per-worker deques), run counterexample search and abstract
+//! interpretation, and push split sub-regions back. The first
+//! δ-counterexample found aborts the whole run.
 //!
-//! Fault tolerance matches the sequential verifier: every region step is
-//! panic-isolated with an interval-domain retry, so a single bad region
-//! degrades precision instead of killing a worker thread (or the
-//! process). Budget-limited runs drain the worklist into a
-//! [`Checkpoint`] for [`ParallelVerifier::resume`].
-//!
-//! Regions are distributed by the work-stealing scheduler in
-//! [`crate::sched`]: per-worker deques with steal-half balancing, and
-//! condvar parking (never spinning) when a worker runs out of work while
-//! regions are still in flight elsewhere.
+//! Fault tolerance, budgets, checkpoints and certificates are the
+//! sequential verifier's: every region step is panic-isolated with an
+//! interval-domain retry, and budget-limited runs drain the worklist into
+//! a [`Checkpoint`] for [`ParallelVerifier::resume`].
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use attack::Minimizer;
-use domains::{Bounds, Workspace};
+use domains::Workspace;
 use nn::Network;
-use parking_lot::Mutex;
 
 use crate::checkpoint::Checkpoint;
-use crate::error::{BudgetKind, VerifyError};
-use crate::faults::FaultSite;
+use crate::error::VerifyError;
 use crate::policy::Policy;
-use crate::sched::{Scheduler, SchedulerMode};
-use crate::telemetry::{emit, SharedSink, TraceEvent};
-use crate::verify::{
-    guarded_region_step, validate_problem, verdict_name, CertRecorder, RegionOutcome, StepEnv,
-    Verdict, VerifierConfig, VerifyRun, VerifyStats,
-};
+use crate::telemetry::SharedSink;
+use crate::verify::{Verdict, Verifier, VerifierConfig, VerifyRun};
 use crate::RobustnessProperty;
 
-/// A parallel variant of the [`crate::Verifier`].
+/// A [`Verifier`] run on several worker threads.
 ///
 /// Semantics match the sequential verifier (same soundness and
 /// δ-completeness); only scheduling differs, so which δ-counterexample is
-/// reported may vary between runs.
+/// reported may vary between runs. With one thread the run is the
+/// sequential verifier's, region for region.
 #[derive(Clone)]
 pub struct ParallelVerifier {
-    policy: Arc<dyn Policy>,
-    config: VerifierConfig,
+    verifier: Verifier,
     threads: usize,
-    sched_mode: SchedulerMode,
-    trace: SharedSink,
-}
-
-/// State shared by every worker of one parallel run.
-struct Shared<'a> {
-    sched: &'a Scheduler,
-    regions_done: &'a AtomicUsize,
-    stop: &'a AtomicBool,
-    found: &'a Mutex<Option<(Verdict, Option<BudgetKind>)>>,
-    error: &'a Mutex<Option<VerifyError>>,
-}
-
-/// The engine's record-and-stop verdict preference rule: whether an
-/// `incoming` verdict should replace the `current` one.
-///
-/// First writer wins, with one exception: a validated refutation replaces
-/// an already-recorded `ResourceLimit`. A worker (or shard node) mid-step
-/// when another hits a budget may still find a real counterexample;
-/// dropping it would checkpoint a worklist without the refuted region,
-/// and resuming that checkpoint could flip the verdict to `Verified`.
-///
-/// This single rule is shared by the in-process [`ParallelVerifier`] and
-/// the coordinator tier's cross-node shard merge, so the two scheduling
-/// layers cannot drift apart semantically.
-pub fn verdict_supersedes(current: Option<&Verdict>, incoming: &Verdict) -> bool {
-    match current {
-        None => true,
-        Some(Verdict::ResourceLimit) => matches!(incoming, Verdict::Refuted(_)),
-        Some(_) => false,
-    }
-}
-
-impl Shared<'_> {
-    /// Records a verdict and tells everyone to stop, following
-    /// [`verdict_supersedes`].
-    fn record_and_stop(&self, verdict: Verdict, limit: Option<BudgetKind>) {
-        let mut slot = self.found.lock();
-        if verdict_supersedes(slot.as_ref().map(|(v, _)| v), &verdict) {
-            *slot = Some((verdict, limit));
-        }
-        self.stop.store(true, Ordering::Release);
-        // Parked workers observe `stop` only when awake; wake them so the
-        // run winds down promptly instead of after a park slice.
-        self.sched.wake_all();
-    }
-
-    /// Records an engine error (first writer wins) and stops the run.
-    fn record_error(&self, e: VerifyError) {
-        let mut slot = self.error.lock();
-        if slot.is_none() {
-            *slot = Some(e);
-        }
-        self.stop.store(true, Ordering::Release);
-        self.sched.wake_all();
-    }
 }
 
 impl ParallelVerifier {
@@ -118,11 +48,8 @@ impl ParallelVerifier {
             threads
         };
         ParallelVerifier {
-            policy,
-            config,
+            verifier: Verifier::new(policy, config),
             threads,
-            sched_mode: SchedulerMode::default(),
-            trace: crate::telemetry::null_sink(),
         }
     }
 
@@ -131,22 +58,8 @@ impl ParallelVerifier {
     /// [`crate::telemetry::NullSink`] (tracing off, zero overhead).
     #[must_use]
     pub fn with_trace(mut self, sink: SharedSink) -> Self {
-        self.trace = sink;
+        self.verifier = self.verifier.with_trace(sink);
         self
-    }
-
-    /// Overrides the scheduling discipline. The default is
-    /// [`SchedulerMode::default`], which selects work stealing unless
-    /// `CHARON_FORCE_SCALAR` forces the shared-queue fallback.
-    #[must_use]
-    pub fn with_scheduler(mut self, mode: SchedulerMode) -> Self {
-        self.sched_mode = mode;
-        self
-    }
-
-    /// The scheduling discipline this verifier will use.
-    pub fn scheduler_mode(&self) -> SchedulerMode {
-        self.sched_mode
     }
 
     /// Number of worker threads used.
@@ -163,19 +76,7 @@ impl ParallelVerifier {
     /// the engine fails irrecoverably (see
     /// [`ParallelVerifier::try_verify_run`] for the non-panicking API).
     pub fn verify(&self, net: &Network, property: &RobustnessProperty) -> Verdict {
-        assert_eq!(
-            property.region().dim(),
-            net.input_dim(),
-            "region dimension must match network input"
-        );
-        assert!(
-            property.target() < net.output_dim(),
-            "target class out of range"
-        );
-        match self.try_verify_run(net, property) {
-            Ok(run) => run.verdict,
-            Err(e) => panic!("verification engine failure: {e}"),
-        }
+        self.verifier.verify_on(net, property, self.threads).0
     }
 
     /// Parallel analogue of [`crate::Verifier::try_verify_run`].
@@ -189,17 +90,8 @@ impl ParallelVerifier {
         net: &Network,
         property: &RobustnessProperty,
     ) -> Result<VerifyRun, VerifyError> {
-        validate_problem(net, property.region(), property.target())?;
-        let cert_root = self
-            .config
-            .certificates
-            .then(|| property.region().clone());
-        self.run_worklist(
-            net,
-            property.target(),
-            vec![(property.region().clone(), 0)],
-            cert_root,
-        )
+        self.verifier
+            .run_on(net, property, &mut Workspace::new(), self.threads)
     }
 
     /// Continues an interrupted run from a [`Checkpoint`] (see
@@ -209,335 +101,19 @@ impl ParallelVerifier {
     ///
     /// As [`ParallelVerifier::try_verify_run`].
     pub fn resume(&self, net: &Network, checkpoint: &Checkpoint) -> Result<VerifyRun, VerifyError> {
-        if checkpoint.target >= net.output_dim() {
-            return Err(VerifyError::MalformedModel {
-                reason: format!(
-                    "checkpoint target class {} out of range for {} outputs",
-                    checkpoint.target,
-                    net.output_dim()
-                ),
-            });
-        }
-        for (region, _) in &checkpoint.pending {
-            validate_problem(net, region, checkpoint.target)?;
-        }
-        // Resumed runs never certify (the interrupted run's discharged
-        // regions are unaccounted for); see the sequential driver.
-        self.run_worklist(net, checkpoint.target, checkpoint.pending.clone(), None)
+        self.verifier
+            .resume_on(net, checkpoint, &mut Workspace::new(), self.threads)
     }
-
-    fn run_worklist(
-        &self,
-        net: &Network,
-        target: usize,
-        initial: Vec<(Bounds, usize)>,
-        cert_root: Option<Bounds>,
-    ) -> Result<VerifyRun, VerifyError> {
-        let start = Instant::now();
-        let deadline = start + self.config.timeout;
-        let sched = Scheduler::new(self.threads, self.sched_mode, initial);
-        let regions_done = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        let found: Mutex<Option<(Verdict, Option<BudgetKind>)>> = Mutex::new(None);
-        let error: Mutex<Option<VerifyError>> = Mutex::new(None);
-        let total_stats: Mutex<VerifyStats> = Mutex::new(VerifyStats::default());
-        // Per-worker leaf/split records merge here (like the stats) and
-        // are assembled into a certificate once the verdict is known.
-        let recording = cert_root.is_some();
-        let total_records: Mutex<CertRecorder> = Mutex::new(match cert_root {
-            Some(root) => CertRecorder::new(root),
-            None => CertRecorder::default(),
-        });
-        let objective_lipschitz = if self.config.lipschitz_prefilter {
-            2.0 * net.lipschitz_bound()
-        } else {
-            f64::INFINITY
-        };
-
-        let scope_result = crossbeam::scope(|scope| {
-            for worker in 0..self.threads {
-                let shared = Shared {
-                    sched: &sched,
-                    regions_done: &regions_done,
-                    stop: &stop,
-                    found: &found,
-                    error: &error,
-                };
-                let total_stats = &total_stats;
-                let total_records = &total_records;
-                let policy = Arc::clone(&self.policy);
-                let config = self.config.clone();
-                let trace = Arc::clone(&self.trace);
-                scope.spawn(move |_| {
-                    let minimizer = Minimizer::new(config.seed.wrapping_add(worker as u64))
-                        .with_restarts(config.restarts);
-                    let env = StepEnv {
-                        net,
-                        target,
-                        minimizer: &minimizer,
-                        policy: policy.as_ref(),
-                        config: &config,
-                        deadline,
-                        objective_lipschitz,
-                        trace: trace.as_ref(),
-                    };
-                    let mut stats = VerifyStats::default();
-                    let mut records = recording.then(CertRecorder::default);
-                    // Per-worker scratch arena: buffers recycle across the
-                    // regions this worker processes, never across threads.
-                    let mut ws = Workspace::new();
-                    worker_loop(worker, &env, &shared, &mut stats, &mut records, &mut ws);
-                    total_stats.lock().absorb(&stats);
-                    if let Some(records) = records {
-                        total_records.lock().absorb(records);
-                    }
-                });
-            }
-        });
-        if scope_result.is_err() {
-            // Workers are panic-isolated, so this is a bug in the driver
-            // itself; surface it as an engine error, not a process abort.
-            return Err(VerifyError::WorkerPanic {
-                message: "parallel worker panicked outside the isolation boundary".to_string(),
-            });
-        }
-
-        let found = found.into_inner();
-        let (verdict, limit) = match (error.into_inner(), found) {
-            // A validated refutation outranks a late engine error: the
-            // counterexample is real regardless of what broke elsewhere.
-            (Some(_), Some((Verdict::Refuted(cex), _))) => (Verdict::Refuted(cex), None),
-            (Some(e), _) => return Err(e),
-            (None, Some((verdict, limit))) => (verdict, limit),
-            (None, None) => (Verdict::Verified, None),
-        };
-        let mut stats = total_stats.into_inner();
-        stats.elapsed = start.elapsed();
-        // The checkpoint is built from the *merged* worker stats, not the
-        // `regions_done` atomic: a worker that exits on the degradation
-        // ladder (or mid-step on a panic retry) has counted a region in
-        // its local stats that never reached the atomic, so the atomic
-        // can run stale by the time the workers have joined. The merged
-        // counters absorb every worker on every exit path.
-        let checkpoint = if verdict == Verdict::ResourceLimit {
-            Some(Checkpoint {
-                target,
-                pending: sched.into_pending(),
-                regions_done: stats.regions,
-            })
-        } else {
-            None
-        };
-        if let Some(ckpt) = &checkpoint {
-            emit(self.trace.as_ref(), || TraceEvent::CheckpointSaved {
-                pending: ckpt.pending.len(),
-                regions_done: ckpt.regions_done,
-            });
-        }
-        emit(self.trace.as_ref(), || TraceEvent::Verdict {
-            verdict: verdict_name(&verdict).to_string(),
-            regions: stats.regions,
-            seconds: stats.elapsed.as_secs_f64(),
-        });
-        let certificate = if recording {
-            total_records
-                .into_inner()
-                .finish(net, target, self.config.delta, &verdict)
-        } else {
-            None
-        };
-        Ok(VerifyRun {
-            verdict,
-            stats,
-            checkpoint,
-            limit,
-            certificate,
-        })
-    }
-}
-
-/// One worker: pop (or steal) regions, run the guarded step, push splits
-/// back onto its own deque.
-fn worker_loop(
-    worker: usize,
-    env: &StepEnv<'_>,
-    shared: &Shared<'_>,
-    stats: &mut VerifyStats,
-    records: &mut Option<CertRecorder>,
-    ws: &mut Workspace,
-) {
-    loop {
-        if shared.stop.load(Ordering::Acquire) {
-            return;
-        }
-        let budget = if Instant::now() >= env.deadline {
-            Some(BudgetKind::Timeout)
-        } else if shared.regions_done.load(Ordering::Relaxed) >= env.config.max_regions {
-            Some(BudgetKind::Regions)
-        } else if env
-            .config
-            .cancel
-            .as_ref()
-            .is_some_and(|flag| flag.load(Ordering::Relaxed))
-        {
-            Some(BudgetKind::Cancelled)
-        } else {
-            None
-        };
-        if let Some(kind) = budget {
-            // A budget lapsing after the worklist drained is a completed
-            // run, not a resource limit: report nothing and let the
-            // driver conclude `Verified`. `drained` is stable — split
-            // children enter the task count before their parent leaves
-            // it — so this check cannot race a mid-split worker.
-            if !shared.sched.drained() {
-                shared.record_and_stop(Verdict::ResourceLimit, Some(kind));
-            }
-            return;
-        }
-        let Some((region, depth)) = shared.sched.try_pop(worker, &mut stats.metrics) else {
-            // Every deque is empty: finished if nothing is in flight,
-            // otherwise park until an in-flight region splits (the
-            // scheduler wakes us) or a park slice elapses (so deadlines
-            // and external cancellation stay observed).
-            if shared.sched.drained() {
-                return;
-            }
-            let now = Instant::now();
-            if now < env.deadline {
-                shared.sched.park(env.deadline - now, &mut stats.metrics, || {
-                    shared.stop.load(Ordering::Acquire)
-                });
-            }
-            continue;
-        };
-        let ordinal = match &env.config.faults {
-            Some(plan) => plan.next_region(),
-            None => shared.regions_done.load(Ordering::Relaxed),
-        };
-        emit(env.trace, || TraceEvent::RegionPopped { ordinal, depth });
-        if env
-            .config
-            .faults
-            .as_ref()
-            .is_some_and(|plan| plan.fire(FaultSite::Cancel, ordinal))
-        {
-            emit(env.trace, || TraceEvent::FaultTriggered {
-                site: FaultSite::Cancel.as_str().to_string(),
-                ordinal,
-            });
-            if let Some(flag) = &env.config.cancel {
-                flag.store(true, Ordering::Relaxed);
-            }
-            // Re-queue without completing: the region stays in the task
-            // count and lands in the checkpoint.
-            shared.sched.requeue(worker, (region, depth));
-            shared.record_and_stop(Verdict::ResourceLimit, Some(BudgetKind::Cancelled));
-            return;
-        }
-        stats.regions += 1;
-        stats.max_depth = stats.max_depth.max(depth);
-        let outcome = guarded_region_step(env, &region, ordinal, stats, ws);
-        shared.regions_done.fetch_add(1, Ordering::Relaxed);
-        match outcome {
-            Ok(RegionOutcome::Verified { domain, margin }) => {
-                stats.verified_regions += 1;
-                if let Some(rec) = records {
-                    rec.leaf(&region, domain, margin);
-                }
-                shared.sched.complete_one();
-            }
-            Ok(RegionOutcome::Refuted(cex)) => {
-                shared.record_and_stop(Verdict::Refuted(cex), None);
-                shared.sched.complete_one();
-            }
-            Ok(RegionOutcome::Split {
-                left,
-                right,
-                dim,
-                at,
-            }) => {
-                emit(env.trace, || TraceEvent::RegionPushed { depth: depth + 1 });
-                emit(env.trace, || TraceEvent::RegionPushed { depth: depth + 1 });
-                if let Some(rec) = records {
-                    rec.split(&region, dim, at);
-                }
-                // Children enter the worklist before the parent completes,
-                // so the drained signal never dips mid-split.
-                shared
-                    .sched
-                    .push_split(worker, (left, depth + 1), (right, depth + 1));
-                shared.sched.complete_one();
-            }
-            Ok(RegionOutcome::Unsplittable) => {
-                // Undecidable at f64 precision: an honest resource limit,
-                // never a fabricated refutation. Keep the region in the
-                // worklist so the checkpoint records it.
-                shared.sched.requeue(worker, (region, depth));
-                shared.record_and_stop(
-                    Verdict::ResourceLimit,
-                    Some(BudgetKind::NumericPrecision),
-                );
-            }
-            Err(e) => {
-                shared.record_error(e);
-                shared.sched.complete_one();
-            }
-        }
-    }
-}
-
-/// Solves a batch of `(network, property)` pairs in parallel, one property
-/// per thread, with a per-property timeout. Returns the verdicts in input
-/// order. This mirrors the MPI-parallel training setup of §6.
-pub fn verify_batch(
-    problems: &[(Network, RobustnessProperty)],
-    policy: Arc<dyn Policy>,
-    config: &VerifierConfig,
-    threads: usize,
-) -> Vec<(Verdict, Duration)> {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(4, |n| n.get())
-    } else {
-        threads
-    };
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<(Verdict, Duration)>>> = Mutex::new(vec![None; problems.len()]);
-
-    crossbeam::scope(|scope| {
-        for _ in 0..threads.min(problems.len().max(1)) {
-            let next = &next;
-            let results = &results;
-            let policy = Arc::clone(&policy);
-            let config = config.clone();
-            scope.spawn(move |_| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= problems.len() {
-                    return;
-                }
-                let (net, prop) = &problems[idx];
-                let verifier = crate::Verifier::new(Arc::clone(&policy), config.clone());
-                let start = Instant::now();
-                let verdict = verifier.verify(net, prop);
-                let elapsed = start.elapsed();
-                results.lock()[idx] = Some((verdict, elapsed));
-            });
-        }
-    })
-    .expect("worker thread panicked");
-
-    results
-        .into_inner()
-        .into_iter()
-        .map(|r| r.expect("every problem processed"))
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
     use crate::policy::{FixedPolicy, LinearPolicy};
-    use domains::DomainChoice;
+    use crate::BudgetKind;
+    use domains::{Bounds, DomainChoice};
     use nn::samples;
 
     fn default_parallel(threads: usize) -> ParallelVerifier {
@@ -616,47 +192,6 @@ mod tests {
         );
         let resumed = full.resume(&net, &ckpt).unwrap();
         assert_eq!(resumed.verdict, Verdict::Verified);
-    }
-
-    #[test]
-    fn refutation_outranks_recorded_resource_limit() {
-        use crate::verify::Counterexample;
-
-        let sched = Scheduler::new(1, SchedulerMode::WorkStealing, Vec::new());
-        let regions_done = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        let found: Mutex<Option<(Verdict, Option<BudgetKind>)>> = Mutex::new(None);
-        let error: Mutex<Option<VerifyError>> = Mutex::new(None);
-        let shared = Shared {
-            sched: &sched,
-            regions_done: &regions_done,
-            stop: &stop,
-            found: &found,
-            error: &error,
-        };
-        let cex = Counterexample {
-            point: vec![0.0, 0.0],
-            objective: 0.0,
-        };
-
-        // A worker mid-step when the budget lapses may still validate a
-        // counterexample; it must replace the budget verdict.
-        shared.record_and_stop(Verdict::ResourceLimit, Some(BudgetKind::Timeout));
-        shared.record_and_stop(Verdict::Refuted(cex.clone()), None);
-        assert_eq!(*found.lock(), Some((Verdict::Refuted(cex.clone()), None)));
-
-        // A later budget verdict never downgrades the refutation, and a
-        // second refutation does not replace the first.
-        shared.record_and_stop(Verdict::ResourceLimit, Some(BudgetKind::Regions));
-        shared.record_and_stop(
-            Verdict::Refuted(Counterexample {
-                point: vec![1.0, 1.0],
-                objective: -1.0,
-            }),
-            None,
-        );
-        assert_eq!(*found.lock(), Some((Verdict::Refuted(cex), None)));
-        assert!(stop.load(Ordering::Acquire));
     }
 
     #[test]
@@ -761,33 +296,5 @@ mod tests {
         assert_eq!(run.verdict, Verdict::Verified);
         assert!(run.stats.regions >= 1);
         assert!(run.stats.analyze_calls >= 1);
-    }
-
-    #[test]
-    fn batch_returns_results_in_order() {
-        let problems = vec![
-            (
-                samples::xor_network(),
-                RobustnessProperty::new(Bounds::new(vec![0.3, 0.3], vec![0.7, 0.7]), 1),
-            ),
-            (
-                samples::xor_network(),
-                RobustnessProperty::new(Bounds::new(vec![0.0, 0.0], vec![1.0, 1.0]), 1),
-            ),
-            (
-                samples::example_2_2_network(),
-                RobustnessProperty::new(Bounds::new(vec![-1.0], vec![1.0]), 1),
-            ),
-        ];
-        let results = verify_batch(
-            &problems,
-            Arc::new(LinearPolicy::default()),
-            &VerifierConfig::default(),
-            2,
-        );
-        assert_eq!(results.len(), 3);
-        assert!(results[0].0.is_verified());
-        assert!(results[1].0.is_refuted());
-        assert!(results[2].0.is_verified());
     }
 }

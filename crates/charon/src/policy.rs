@@ -8,7 +8,6 @@
 
 use domains::{symbolic, BaseDomain, Bounds, DomainChoice};
 use nn::Network;
-use serde::{Deserialize, Serialize};
 use tensor::Matrix;
 
 /// Everything a policy may inspect when making a decision: the network,
@@ -139,7 +138,7 @@ const SPLIT_MARGIN: f64 = 0.05;
 ///
 /// `θ` is a `(DOMAIN_OUTPUTS + PARTITION_OUTPUTS) x NUM_FEATURES` matrix;
 /// [`train`](crate::train) fits it with Bayesian optimization.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinearPolicy {
     theta: Vec<f64>,
 }

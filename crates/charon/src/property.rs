@@ -1,5 +1,4 @@
 use domains::Bounds;
-use serde::{Deserialize, Serialize};
 
 /// A local-robustness property `(I, K)` (§2.2): every input in the region
 /// `I` must be assigned class `K`.
@@ -14,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.target(), 1);
 /// assert_eq!(p.region().dim(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RobustnessProperty {
     region: Bounds,
     target: usize,

@@ -135,12 +135,12 @@ pub fn certify(
 
     let next = AtomicUsize::new(0);
     let outcomes: Mutex<Vec<Option<PointOutcome>>> = Mutex::new(vec![None; points.len()]);
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads.min(points.len().max(1)) {
             let next = &next;
             let outcomes = &outcomes;
             let config = config.clone();
-            scope.spawn(move |_| loop {
+            scope.spawn(move || loop {
                 let idx = next.fetch_add(1, Ordering::Relaxed);
                 if idx >= points.len() {
                     return;
@@ -163,8 +163,7 @@ pub fn certify(
                 outcomes.lock()[idx] = Some(outcome);
             });
         }
-    })
-    .expect("certification worker panicked");
+    });
 
     CertificationReport {
         outcomes: outcomes

@@ -1,11 +1,13 @@
 //! Work-stealing region scheduler.
 //!
-//! Replaces the shared-worklist polling loop of [`crate::parallel`] with
-//! per-worker deques: each worker pushes split sub-regions onto its own
-//! deque and pops from the same end (LIFO, so the search stays
-//! depth-first and cache-warm), while an out-of-work worker steals *half*
-//! of a victim's deque from the opposite end (FIFO, so thieves take the
-//! oldest — shallowest, largest — regions, which amortizes the steal).
+//! The one region worklist behind every verifier run (see
+//! `verify.rs`, the driver): per-worker deques, where each worker pushes
+//! split sub-regions onto its own deque and pops from the same end
+//! (LIFO, so the search stays depth-first and cache-warm), while an
+//! out-of-work worker steals *half* of a victim's deque from the opposite
+//! end (FIFO, so thieves take the oldest — shallowest, largest — regions,
+//! which amortizes the steal). With one worker this is a plain
+//! depth-first stack.
 //!
 //! Idle workers park on a condvar instead of spinning. The parking
 //! protocol is the classic two-phase check: a parker advertises itself
@@ -21,13 +23,8 @@
 //! in-flight regions: workers push children before completing the parent,
 //! so `tasks == 0` is a stable "worklist drained" signal (never a
 //! transient dip mid-split). Regions re-queued for checkpointing
-//! (cancellation faults, unsplittable regions) do not re-increment the
-//! counter — they were never completed.
-//!
-//! [`SchedulerMode::SharedQueue`] degenerates to one shared deque (the
-//! pre-steal behaviour, minus the spinning) and is selected automatically
-//! when `CHARON_FORCE_SCALAR` is set, so the scalar-kernel fallback
-//! configuration is honoured end to end by one switch.
+//! (cancellation faults, unsplittable regions, lapsed budgets) do not
+//! re-increment the counter — they were never completed.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
@@ -46,47 +43,10 @@ pub(crate) type Region = (Bounds, usize);
 /// and the external cancel flag can get while it has no work.
 const PARK_SLICE: Duration = Duration::from_millis(25);
 
-/// Which scheduling discipline a [`crate::parallel::ParallelVerifier`]
-/// uses to distribute regions across workers.
-///
-/// Both modes produce the same verdicts and the same merged statistics;
-/// only the order in which regions are processed (and hence which
-/// δ-counterexample a refutable run reports first) may differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerMode {
-    /// Per-worker deques with steal-half balancing (the default).
-    WorkStealing,
-    /// One shared LIFO deque for all workers — the portable fallback,
-    /// selected by default when `CHARON_FORCE_SCALAR` is set (the same
-    /// switch that forces scalar tensor kernels).
-    SharedQueue,
-}
-
-impl Default for SchedulerMode {
-    /// [`SchedulerMode::WorkStealing`] unless `CHARON_FORCE_SCALAR` is
-    /// set to a non-empty value other than `0`.
-    fn default() -> Self {
-        match std::env::var_os("CHARON_FORCE_SCALAR") {
-            Some(v) if !v.is_empty() && v != "0" => SchedulerMode::SharedQueue,
-            _ => SchedulerMode::WorkStealing,
-        }
-    }
-}
-
-impl SchedulerMode {
-    /// Display name, as recorded in bench files and run reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulerMode::WorkStealing => "work_stealing",
-            SchedulerMode::SharedQueue => "shared_queue",
-        }
-    }
-}
-
-/// The shared scheduler state of one parallel run.
+/// The shared scheduler state of one run.
 pub(crate) struct Scheduler {
-    /// One deque per worker (one total in shared-queue mode). Owners
-    /// push/pop at the back; thieves drain from the front.
+    /// One deque per worker. Owners push/pop at the back; thieves drain
+    /// from the front.
     deques: Vec<Mutex<VecDeque<Region>>>,
     /// Regions sitting in some deque (not in flight). Parking checks.
     queued: AtomicUsize,
@@ -104,12 +64,9 @@ pub(crate) struct Scheduler {
 impl Scheduler {
     /// Builds a scheduler for `workers` workers seeded with `initial`
     /// regions (distributed round-robin so workers start on disjoint
-    /// work). `SharedQueue` mode collapses to a single deque.
-    pub(crate) fn new(workers: usize, mode: SchedulerMode, initial: Vec<Region>) -> Self {
-        let slots = match mode {
-            SchedulerMode::WorkStealing => workers.max(1),
-            SchedulerMode::SharedQueue => 1,
-        };
+    /// work).
+    pub(crate) fn new(workers: usize, initial: Vec<Region>) -> Self {
+        let slots = workers.max(1);
         let mut deques: Vec<VecDeque<Region>> = (0..slots).map(|_| VecDeque::new()).collect();
         let count = initial.len();
         for (i, region) in initial.into_iter().enumerate() {
@@ -166,17 +123,18 @@ impl Scheduler {
         None
     }
 
-    /// Pushes the two children of a split. The task counter grows before
+    /// Pushes the two children of a split so that the owner pops `left`
+    /// first, whatever the worker count. The task counter grows before
     /// the regions become visible, so `tasks` never under-counts; the
     /// caller completes the parent *afterwards* (see
     /// [`Scheduler::complete_one`]).
-    pub(crate) fn push_split(&self, worker: usize, a: Region, b: Region) {
+    pub(crate) fn push_split(&self, worker: usize, left: Region, right: Region) {
         self.tasks.fetch_add(2, SeqCst);
         let me = worker % self.deques.len();
         {
             let mut deque = self.deques[me].lock();
-            deque.push_back(a);
-            deque.push_back(b);
+            deque.push_back(right);
+            deque.push_back(left);
         }
         self.queued.fetch_add(2, SeqCst);
         self.notify_if_parked();
@@ -185,7 +143,7 @@ impl Scheduler {
     /// Returns a popped region to the worklist *without* growing the task
     /// counter: the region was never completed, it just needs to be in
     /// the deques when the checkpoint drains them (cancellation faults,
-    /// unsplittable regions).
+    /// unsplittable regions, lapsed budgets).
     pub(crate) fn requeue(&self, worker: usize, region: Region) {
         let me = worker % self.deques.len();
         self.deques[me].lock().push_back(region);
@@ -245,8 +203,8 @@ impl Scheduler {
 
     /// Consumes the scheduler, returning every region still queued (for
     /// checkpointing a budget-limited run). Deque order is preserved
-    /// deque by deque; checkpoint consumers treat pending sets as
-    /// unordered.
+    /// deque by deque, so a one-worker run checkpoints its stack bottom
+    /// first; checkpoint consumers treat pending sets as unordered.
     pub(crate) fn into_pending(self) -> Vec<Region> {
         let mut pending = Vec::new();
         for deque in self.deques {
@@ -266,7 +224,7 @@ mod tests {
 
     #[test]
     fn seeds_round_robin_and_drains_in_lifo_order_per_deque() {
-        let sched = Scheduler::new(2, SchedulerMode::WorkStealing, vec![region(0), region(1)]);
+        let sched = Scheduler::new(2, vec![region(0), region(1)]);
         let mut m = Metrics::new();
         // Worker 0's own deque holds region 0; worker 1's holds region 1.
         assert_eq!(sched.try_pop(0, &mut m).unwrap().1, 0);
@@ -277,43 +235,28 @@ mod tests {
 
     #[test]
     fn steal_takes_half_from_the_front() {
-        let sched = Scheduler::new(2, SchedulerMode::WorkStealing, vec![]);
-        // Worker 0 splits twice: its deque is [s0, s1, s2, s3] back-most
-        // newest. tasks bookkeeping: fake two outstanding parents.
+        let sched = Scheduler::new(2, vec![]);
+        // Worker 0 splits twice: each split pushes right then left, so
+        // its deque is [11, 10, 13, 12] back-most newest. tasks
+        // bookkeeping: fake two outstanding parents.
         sched.push_split(0, region(10), region(11));
         sched.push_split(0, region(12), region(13));
         let mut m = Metrics::new();
-        // Worker 1 steals ceil(4/2) = 2 oldest (10, 11), keeps the first,
+        // Worker 1 steals ceil(4/2) = 2 oldest (11, 10), keeps the first,
         // deposits the second in its own deque.
         let got = sched.try_pop(1, &mut m).unwrap();
-        assert_eq!(got.1, 10);
+        assert_eq!(got.1, 11);
         assert_eq!(m.steals, 1);
         assert_eq!(m.stolen_regions, 2);
-        assert_eq!(sched.try_pop(1, &mut m).unwrap().1, 11);
-        // Worker 0 still owns its newest work.
-        assert_eq!(sched.try_pop(0, &mut m).unwrap().1, 13);
+        assert_eq!(sched.try_pop(1, &mut m).unwrap().1, 10);
+        // Worker 0 still owns its newest work, left child first.
         assert_eq!(sched.try_pop(0, &mut m).unwrap().1, 12);
-    }
-
-    #[test]
-    fn shared_queue_mode_uses_one_deque_for_all_workers() {
-        let sched = Scheduler::new(
-            4,
-            SchedulerMode::SharedQueue,
-            vec![region(0), region(1), region(2)],
-        );
-        let mut m = Metrics::new();
-        // All workers pop from the same LIFO deque; no steals ever.
-        assert_eq!(sched.try_pop(3, &mut m).unwrap().1, 2);
-        assert_eq!(sched.try_pop(1, &mut m).unwrap().1, 1);
-        assert_eq!(sched.try_pop(2, &mut m).unwrap().1, 0);
-        assert_eq!(m.steals, 0);
-        assert!(!sched.drained());
+        assert_eq!(sched.try_pop(0, &mut m).unwrap().1, 13);
     }
 
     #[test]
     fn tasks_counter_tracks_split_and_complete() {
-        let sched = Scheduler::new(1, SchedulerMode::WorkStealing, vec![region(0)]);
+        let sched = Scheduler::new(1, vec![region(0)]);
         let mut m = Metrics::new();
         let parent = sched.try_pop(0, &mut m).unwrap();
         assert!(!sched.drained());
@@ -330,7 +273,7 @@ mod tests {
 
     #[test]
     fn requeue_preserves_task_count_and_checkpoint_contents() {
-        let sched = Scheduler::new(2, SchedulerMode::WorkStealing, vec![region(0), region(1)]);
+        let sched = Scheduler::new(2, vec![region(0), region(1)]);
         let mut m = Metrics::new();
         let popped = sched.try_pop(0, &mut m).unwrap();
         sched.requeue(0, popped);
@@ -344,18 +287,18 @@ mod tests {
     fn park_aborts_immediately_when_work_is_queued_or_drained() {
         let mut m = Metrics::new();
         // Queued work: park must return without waiting or counting.
-        let busy = Scheduler::new(1, SchedulerMode::WorkStealing, vec![region(0)]);
+        let busy = Scheduler::new(1, vec![region(0)]);
         busy.park(Duration::from_secs(5), &mut m, || false);
         assert_eq!(m.parks, 0);
         // Drained: same.
-        let done = Scheduler::new(1, SchedulerMode::WorkStealing, vec![]);
+        let done = Scheduler::new(1, vec![]);
         done.park(Duration::from_secs(5), &mut m, || false);
         assert_eq!(m.parks, 0);
     }
 
     #[test]
     fn park_times_out_within_the_slice() {
-        let sched = Scheduler::new(2, SchedulerMode::WorkStealing, vec![region(0)]);
+        let sched = Scheduler::new(2, vec![region(0)]);
         let mut m = Metrics::new();
         let _held = sched.try_pop(0, &mut m).unwrap(); // in flight, nothing queued
         let start = Instant::now();
@@ -368,7 +311,7 @@ mod tests {
     #[test]
     fn pusher_wakes_a_parked_worker() {
         use std::sync::Arc;
-        let sched = Arc::new(Scheduler::new(2, SchedulerMode::WorkStealing, vec![region(0)]));
+        let sched = Arc::new(Scheduler::new(2, vec![region(0)]));
         let mut m = Metrics::new();
         let parent = sched.try_pop(0, &mut m).unwrap();
         let thief = {
@@ -388,21 +331,5 @@ mod tests {
         let got = thief.join().expect("thief thread panicked");
         assert!(got == Some(7) || got == Some(8), "thief got {got:?}");
         drop(parent);
-    }
-
-    #[test]
-    fn mode_default_honours_force_scalar_convention() {
-        // Cannot mutate the process environment safely under a threaded
-        // test harness; check the parse rule directly instead.
-        let rule = |v: Option<&str>| match v {
-            Some(s) if !s.is_empty() && s != "0" => SchedulerMode::SharedQueue,
-            _ => SchedulerMode::WorkStealing,
-        };
-        assert_eq!(rule(None), SchedulerMode::WorkStealing);
-        assert_eq!(rule(Some("")), SchedulerMode::WorkStealing);
-        assert_eq!(rule(Some("0")), SchedulerMode::WorkStealing);
-        assert_eq!(rule(Some("1")), SchedulerMode::SharedQueue);
-        assert_eq!(SchedulerMode::WorkStealing.name(), "work_stealing");
-        assert_eq!(SchedulerMode::SharedQueue.name(), "shared_queue");
     }
 }

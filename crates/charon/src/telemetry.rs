@@ -7,8 +7,8 @@
 //! three tiers:
 //!
 //! 1. **Events** — a typed [`TraceEvent`] stream emitted from the region
-//!    step, the parallel/portfolio drivers, the attack phases, and the
-//!    domains' propagation loop. Events flow into a [`TraceSink`]:
+//!    step, the region driver, the attack phases, and the domains'
+//!    propagation loop. Events flow into a [`TraceSink`]:
 //!    [`NullSink`] (the default; every emission site is guarded by
 //!    [`TraceSink::enabled`], so disabled tracing does no formatting and
 //!    no allocation), [`JsonlSink`] (one JSON object per line,
@@ -24,8 +24,8 @@
 //!    per-phase time-breakdown table with regions-per-second and domain
 //!    precision statistics (printed by `charon-cli verify --report`).
 //!
-//! JSON is hand-rolled: the workspace deliberately has no serde_json (the
-//! vendored `serde` is a marker-trait stub), so [`TraceEvent::to_json`]
+//! JSON is hand-rolled: the workspace deliberately has no serde_json (it
+//! builds offline without crates.io), so [`TraceEvent::to_json`]
 //! and [`TraceEvent::from_json`] build on the shared flat-object codec in
 //! [`crate::json`] (also used by the verification server's wire protocol)
 //! and round-trip the one schema this module needs exactly.
@@ -280,8 +280,8 @@ impl TraceEvent {
 
 /// A consumer of [`TraceEvent`]s.
 ///
-/// Implementations must be `Send + Sync`: the parallel and portfolio
-/// drivers share one sink across worker threads, so `record` must accept
+/// Implementations must be `Send + Sync`: a multi-worker run shares one
+/// sink across worker threads, so `record` must accept
 /// concurrent calls (events from different workers interleave at event
 /// granularity).
 ///

@@ -96,13 +96,13 @@ pub fn score_policy(
 
     let next = AtomicUsize::new(0);
     let total_cost = Mutex::new(0.0f64);
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads.min(problems.len().max(1)) {
             let next = &next;
             let total_cost = &total_cost;
             let policy = Arc::clone(&policy);
             let verifier_config = verifier_config.clone();
-            scope.spawn(move |_| loop {
+            scope.spawn(move || loop {
                 let idx = next.fetch_add(1, Ordering::Relaxed);
                 if idx >= problems.len() {
                     return;
@@ -122,8 +122,7 @@ pub fn score_policy(
                 *total_cost.lock() += cost;
             });
         }
-    })
-    .expect("scoring thread panicked");
+    });
 
     -total_cost.into_inner()
 }

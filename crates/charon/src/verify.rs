@@ -13,7 +13,7 @@
 //!    [`Verifier::resume`] continues without revisiting verified regions.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -23,11 +23,13 @@ use domains::{
     analyze_margin_checked_ws, AnalysisOutcome, Bounds, DomainChoice, Workspace,
 };
 use nn::Network;
+use parking_lot::Mutex;
 
 use crate::checkpoint::Checkpoint;
 use crate::error::{panic_message, BudgetKind, VerifyError};
 use crate::faults::{FaultPlan, FaultSite};
 use crate::policy::{DomainSelection, LinearPolicy, Policy, PolicyContext};
+use crate::sched::{Region, Scheduler};
 use crate::telemetry::{emit, Metrics, SharedSink, TraceEvent, TraceSink};
 use crate::RobustnessProperty;
 
@@ -101,9 +103,9 @@ pub struct VerifierConfig {
     /// abstract interpretation (a FastLin-style pre-filter; an extension
     /// beyond the paper, off by default).
     pub lipschitz_prefilter: bool,
-    /// Cooperative cancellation flag: when set (by e.g. the portfolio
-    /// runner), the verifier stops at the next region boundary with
-    /// [`Verdict::ResourceLimit`].
+    /// Cooperative cancellation flag: when set (by e.g. the server for a
+    /// cancelled job), the verifier stops at the next region boundary
+    /// with [`Verdict::ResourceLimit`].
     pub cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
     /// Deterministic fault-injection schedule, for chaos testing only.
     /// Production configurations leave this `None`.
@@ -158,7 +160,7 @@ pub struct VerifyStats {
 }
 
 impl VerifyStats {
-    /// Adds another worker's counters into this one (parallel runs).
+    /// Adds another worker's counters into this one.
     pub(crate) fn absorb(&mut self, other: &VerifyStats) {
         self.regions += other.regions;
         self.verified_regions += other.verified_regions;
@@ -305,19 +307,7 @@ impl Verifier {
         net: &Network,
         property: &RobustnessProperty,
     ) -> (Verdict, VerifyStats) {
-        assert_eq!(
-            property.region().dim(),
-            net.input_dim(),
-            "region dimension must match network input"
-        );
-        assert!(
-            property.target() < net.output_dim(),
-            "target class out of range"
-        );
-        match self.try_verify_run(net, property) {
-            Ok(run) => (run.verdict, run.stats),
-            Err(e) => panic!("verification engine failure: {e}"),
-        }
+        self.verify_on(net, property, 1)
     }
 
     /// Runs Algorithm 1, separating verdicts from engine failures.
@@ -359,18 +349,7 @@ impl Verifier {
         property: &RobustnessProperty,
         ws: &mut Workspace,
     ) -> Result<VerifyRun, VerifyError> {
-        validate_problem(net, property.region(), property.target())?;
-        let cert_root = self
-            .config
-            .certificates
-            .then(|| property.region().clone());
-        self.run_worklist(
-            net,
-            property.target(),
-            vec![(property.region().clone(), 0)],
-            cert_root,
-            ws,
-        )
+        self.run_on(net, property, ws, 1)
     }
 
     /// Strict variant of [`Verifier::try_verify_run`]: budget exhaustion
@@ -421,6 +400,61 @@ impl Verifier {
         checkpoint: &Checkpoint,
         ws: &mut Workspace,
     ) -> Result<VerifyRun, VerifyError> {
+        self.resume_on(net, checkpoint, ws, 1)
+    }
+
+    /// Checks a property's shape, runs it on `threads` workers and turns
+    /// an engine failure into a panic: the body of the panicking `verify`
+    /// entry points of this type and [`crate::parallel::ParallelVerifier`].
+    pub(crate) fn verify_on(
+        &self,
+        net: &Network,
+        property: &RobustnessProperty,
+        threads: usize,
+    ) -> (Verdict, VerifyStats) {
+        assert_eq!(
+            property.region().dim(),
+            net.input_dim(),
+            "region dimension must match network input"
+        );
+        assert!(
+            property.target() < net.output_dim(),
+            "target class out of range"
+        );
+        match self.run_on(net, property, &mut Workspace::new(), threads) {
+            Ok(run) => (run.verdict, run.stats),
+            Err(e) => panic!("verification engine failure: {e}"),
+        }
+    }
+
+    /// A fresh run of `property` on `threads` workers.
+    pub(crate) fn run_on(
+        &self,
+        net: &Network,
+        property: &RobustnessProperty,
+        ws: &mut Workspace,
+        threads: usize,
+    ) -> Result<VerifyRun, VerifyError> {
+        validate_problem(net, property.region(), property.target())?;
+        let cert_root = self.config.certificates.then(|| property.region().clone());
+        self.run_worklist(
+            net,
+            property.target(),
+            vec![(property.region().clone(), 0)],
+            cert_root,
+            ws,
+            threads,
+        )
+    }
+
+    /// A resumed run of `checkpoint` on `threads` workers.
+    pub(crate) fn resume_on(
+        &self,
+        net: &Network,
+        checkpoint: &Checkpoint,
+        ws: &mut Workspace,
+        threads: usize,
+    ) -> Result<VerifyRun, VerifyError> {
         if checkpoint.target >= net.output_dim() {
             return Err(VerifyError::MalformedModel {
                 reason: format!(
@@ -435,26 +469,28 @@ impl Verifier {
         }
         // A resumed run cannot account for the regions the interrupted run
         // already discharged, so it never emits a certificate.
-        self.run_worklist(net, checkpoint.target, checkpoint.pending.clone(), None, ws)
+        let pending = checkpoint.pending.clone();
+        self.run_worklist(net, checkpoint.target, pending, None, ws, threads)
     }
 
-    /// The shared depth-first driver behind every entry point.
+    /// The region driver behind every entry point: Algorithm 1's worklist
+    /// loop on `threads` workers sharing one [`Scheduler`].
     ///
+    /// One worker runs inline on the caller's thread and workspace; more
+    /// run in a thread scope with worker 0 on the caller's thread.
     /// `cert_root` is `Some(root region)` when this is a fresh single-root
     /// run that should emit a proof certificate; resumed runs pass `None`.
     fn run_worklist(
         &self,
         net: &Network,
         target: usize,
-        mut stack: Vec<(Bounds, usize)>,
+        initial: Vec<Region>,
         cert_root: Option<Bounds>,
         ws: &mut Workspace,
+        threads: usize,
     ) -> Result<VerifyRun, VerifyError> {
         let start = Instant::now();
         let deadline = start + self.config.timeout;
-        let mut stats = VerifyStats::default();
-        let mut recorder = cert_root.map(CertRecorder::new);
-        let minimizer = Minimizer::new(self.config.seed).with_restarts(self.config.restarts);
         // The objective F is a difference of two M-Lipschitz outputs, so
         // it is 2M-Lipschitz; computed once per verification run.
         let objective_lipschitz = if self.config.lipschitz_prefilter {
@@ -462,119 +498,96 @@ impl Verifier {
         } else {
             f64::INFINITY
         };
-        let env = StepEnv {
-            net,
-            target,
-            minimizer: &minimizer,
-            policy: self.policy.as_ref(),
-            config: &self.config,
-            deadline,
-            objective_lipschitz,
-            trace: self.trace.as_ref(),
+        let recording = cert_root.is_some();
+        let state = RunState {
+            sched: Scheduler::new(threads, initial),
+            claimed: AtomicUsize::new(0),
+            stop: AtomicBool::new(false),
+            found: Mutex::new(None),
+            error: Mutex::new(None),
+            merged: Mutex::new((VerifyStats::default(), cert_root.map(CertRecorder::new))),
         };
-        // The caller-provided scratch arena spans the whole run (and, for
-        // long-lived callers, many runs): per-region propagation reuses
-        // layer buffers instead of reallocating them.
-        let outcome = loop {
-            let Some((region, depth)) = stack.pop() else {
-                break Ok((Verdict::Verified, None, None));
+        let worker = |id: usize, ws: &mut Workspace| {
+            let minimizer = Minimizer::new(self.config.seed.wrapping_add(id as u64))
+                .with_restarts(self.config.restarts);
+            let env = StepEnv {
+                net,
+                target,
+                minimizer: &minimizer,
+                policy: self.policy.as_ref(),
+                config: &self.config,
+                deadline,
+                objective_lipschitz,
+                trace: self.trace.as_ref(),
             };
-            let ordinal = match &self.config.faults {
-                Some(plan) => plan.next_region(),
-                None => stats.regions,
-            };
-            emit(env.trace, || TraceEvent::RegionPopped { ordinal, depth });
-            let mut limit = if Instant::now() >= deadline {
-                Some(BudgetKind::Timeout)
-            } else if stats.regions >= self.config.max_regions {
-                Some(BudgetKind::Regions)
-            } else if self
-                .config
-                .cancel
-                .as_ref()
-                .is_some_and(|flag| flag.load(Ordering::Relaxed))
-            {
-                Some(BudgetKind::Cancelled)
-            } else {
-                None
-            };
-            if limit.is_none() {
-                if let Some(plan) = &self.config.faults {
-                    if plan.fire(FaultSite::Cancel, ordinal) {
-                        emit(env.trace, || TraceEvent::FaultTriggered {
-                            site: FaultSite::Cancel.as_str().to_string(),
-                            ordinal,
-                        });
-                        if let Some(flag) = &self.config.cancel {
-                            flag.store(true, Ordering::Relaxed);
-                        }
-                        limit = Some(BudgetKind::Cancelled);
-                    }
-                }
-            }
-            if let Some(kind) = limit {
-                stack.push((region, depth));
-                let ckpt = Checkpoint {
-                    target,
-                    pending: stack.clone(),
-                    regions_done: stats.regions,
-                };
-                emit(env.trace, || TraceEvent::CheckpointSaved {
-                    pending: ckpt.pending.len(),
-                    regions_done: ckpt.regions_done,
+            let mut stats = VerifyStats::default();
+            let mut records = recording.then(CertRecorder::default);
+            let looped = catch_unwind(AssertUnwindSafe(|| {
+                worker_loop(id, &env, &state, &mut stats, &mut records, ws);
+            }));
+            if let Err(payload) = looped {
+                // Region steps are panic-isolated, so this is a bug in the
+                // driver itself (or in a trace sink): an engine error that
+                // stops every worker, not a process abort.
+                state.record_error(VerifyError::WorkerPanic {
+                    message: panic_message(payload.as_ref()),
                 });
-                break Ok((Verdict::ResourceLimit, Some(kind), Some(ckpt)));
             }
-            stats.regions += 1;
-            stats.max_depth = stats.max_depth.max(depth);
-
-            match guarded_region_step(&env, &region, ordinal, &mut stats, ws) {
-                Err(e) => break Err(e),
-                Ok(RegionOutcome::Verified { domain, margin }) => {
-                    stats.verified_regions += 1;
-                    if let Some(rec) = &mut recorder {
-                        rec.leaf(&region, domain, margin);
-                    }
-                }
-                Ok(RegionOutcome::Refuted(cex)) => {
-                    break Ok((Verdict::Refuted(cex), None, None));
-                }
-                Ok(RegionOutcome::Split {
-                    left,
-                    right,
-                    dim,
-                    at,
-                }) => {
-                    emit(env.trace, || TraceEvent::RegionPushed { depth: depth + 1 });
-                    emit(env.trace, || TraceEvent::RegionPushed { depth: depth + 1 });
-                    if let Some(rec) = &mut recorder {
-                        rec.split(&region, dim, at);
-                    }
-                    stack.push((right, depth + 1));
-                    stack.push((left, depth + 1));
-                }
-                Ok(RegionOutcome::Unsplittable) => {
-                    stack.push((region, depth));
-                    let ckpt = Checkpoint {
-                        target,
-                        pending: stack.clone(),
-                        regions_done: stats.regions,
-                    };
-                    emit(env.trace, || TraceEvent::CheckpointSaved {
-                        pending: ckpt.pending.len(),
-                        regions_done: ckpt.regions_done,
-                    });
-                    break Ok((
-                        Verdict::ResourceLimit,
-                        Some(BudgetKind::NumericPrecision),
-                        Some(ckpt),
-                    ));
-                }
+            let mut merged = state.merged.lock();
+            merged.0.absorb(&stats);
+            if let (Some(total), Some(records)) = (&mut merged.1, records) {
+                total.absorb(records);
             }
         };
+        if threads <= 1 {
+            worker(0, ws);
+        } else {
+            std::thread::scope(|scope| {
+                for id in 1..threads {
+                    let worker = &worker;
+                    // Each extra worker recycles buffers in its own arena,
+                    // never across threads.
+                    scope.spawn(move || worker(id, &mut Workspace::new()));
+                }
+                worker(0, ws);
+            });
+        }
 
-        let (verdict, limit, checkpoint) = outcome?;
+        let RunState {
+            sched,
+            found,
+            error,
+            merged,
+            ..
+        } = state;
+        let (verdict, limit) = match (error.into_inner(), found.into_inner()) {
+            // A validated refutation outranks a late engine error: the
+            // counterexample is real regardless of what broke elsewhere.
+            (Some(_), Some((Verdict::Refuted(cex), _))) => (Verdict::Refuted(cex), None),
+            (Some(e), _) => return Err(e),
+            // A budget that lapsed while the last regions were in flight,
+            // all of which then verified, stopped a completed run.
+            (None, Some((Verdict::ResourceLimit, _))) if sched.drained() => {
+                (Verdict::Verified, None)
+            }
+            (None, Some((verdict, limit))) => (verdict, limit),
+            (None, None) => (Verdict::Verified, None),
+        };
+        let (mut stats, recorder) = merged.into_inner();
         stats.elapsed = start.elapsed();
+        // The checkpoint counts regions from the *merged* worker stats,
+        // which absorb every worker on every exit path.
+        let checkpoint = matches!(verdict, Verdict::ResourceLimit).then(|| Checkpoint {
+            target,
+            pending: sched.into_pending(),
+            regions_done: stats.regions,
+        });
+        if let Some(ckpt) = &checkpoint {
+            emit(self.trace.as_ref(), || TraceEvent::CheckpointSaved {
+                pending: ckpt.pending.len(),
+                regions_done: ckpt.regions_done,
+            });
+        }
         emit(self.trace.as_ref(), || TraceEvent::Verdict {
             verdict: verdict_name(&verdict).to_string(),
             regions: stats.regions,
@@ -592,12 +605,201 @@ impl Verifier {
     }
 }
 
+/// The engine's record-and-stop verdict preference rule: whether an
+/// `incoming` verdict should replace the `current` one.
+///
+/// First writer wins, with one exception: a validated refutation replaces
+/// an already-recorded `ResourceLimit`. A worker (or shard node) mid-step
+/// when another hits a budget may still find a real counterexample;
+/// dropping it would checkpoint a worklist without the refuted region,
+/// and resuming that checkpoint could flip the verdict to `Verified`.
+///
+/// This single rule is shared by the region driver and the coordinator
+/// tier's cross-node shard merge, so the two scheduling layers cannot
+/// drift apart semantically.
+pub fn verdict_supersedes(current: Option<&Verdict>, incoming: &Verdict) -> bool {
+    match current {
+        None => true,
+        Some(Verdict::ResourceLimit) => matches!(incoming, Verdict::Refuted(_)),
+        Some(_) => false,
+    }
+}
+
+/// State shared by every worker of one run.
+struct RunState {
+    sched: Scheduler,
+    /// Regions popped so far. A region's claim is its trace ordinal (when
+    /// no fault plan numbers regions) and its place under the region cap.
+    claimed: AtomicUsize,
+    stop: AtomicBool,
+    found: Mutex<Option<(Verdict, Option<BudgetKind>)>>,
+    error: Mutex<Option<VerifyError>>,
+    /// Worker stats and certificate records, merged as each worker exits.
+    merged: Mutex<(VerifyStats, Option<CertRecorder>)>,
+}
+
+impl RunState {
+    /// Records a verdict and tells everyone to stop, following
+    /// [`verdict_supersedes`].
+    fn record_and_stop(&self, verdict: Verdict, limit: Option<BudgetKind>) {
+        let mut slot = self.found.lock();
+        if verdict_supersedes(slot.as_ref().map(|(v, _)| v), &verdict) {
+            *slot = Some((verdict, limit));
+        }
+        self.halt();
+    }
+
+    /// Records an engine error (first writer wins) and stops the run.
+    fn record_error(&self, e: VerifyError) {
+        let mut slot = self.error.lock();
+        if slot.is_none() {
+            *slot = Some(e);
+        }
+        self.halt();
+    }
+
+    fn halt(&self) {
+        self.stop.store(true, Ordering::Release);
+        // Parked workers observe `stop` only when awake; wake them so the
+        // run winds down promptly instead of after a park slice.
+        self.sched.wake_all();
+    }
+}
+
+/// The budget that stops a run before its next region, if any. `claimed`
+/// is the number of regions popped before it.
+fn lapsed_budget(config: &VerifierConfig, deadline: Instant, claimed: usize) -> Option<BudgetKind> {
+    if Instant::now() >= deadline {
+        Some(BudgetKind::Timeout)
+    } else if claimed >= config.max_regions {
+        Some(BudgetKind::Regions)
+    } else if config
+        .cancel
+        .as_ref()
+        .is_some_and(|flag| flag.load(Ordering::Relaxed))
+    {
+        Some(BudgetKind::Cancelled)
+    } else {
+        None
+    }
+}
+
+/// Fires an injected cancellation due at region `ordinal`, if any.
+fn injected_cancel(env: &StepEnv<'_>, ordinal: usize) -> Option<BudgetKind> {
+    let plan = env.config.faults.as_ref()?;
+    if !plan.fire(FaultSite::Cancel, ordinal) {
+        return None;
+    }
+    emit(env.trace, || TraceEvent::FaultTriggered {
+        site: FaultSite::Cancel.as_str().to_string(),
+        ordinal,
+    });
+    if let Some(flag) = &env.config.cancel {
+        flag.store(true, Ordering::Relaxed);
+    }
+    Some(BudgetKind::Cancelled)
+}
+
+/// One worker: pop (or steal) regions, run the guarded step, push splits
+/// back onto its own deque, until the worklist drains or the run stops.
+fn worker_loop(
+    id: usize,
+    env: &StepEnv<'_>,
+    state: &RunState,
+    stats: &mut VerifyStats,
+    records: &mut Option<CertRecorder>,
+    ws: &mut Workspace,
+) {
+    let config = env.config;
+    while !state.stop.load(Ordering::Acquire) {
+        let Some((region, depth)) = state.sched.try_pop(id, &mut stats.metrics) else {
+            // Every deque is empty: finished if nothing is in flight,
+            // otherwise park until an in-flight region splits (the
+            // scheduler wakes us) or a park slice elapses (so deadlines
+            // and external cancellation stay observed).
+            if state.sched.drained() {
+                return;
+            }
+            let claimed = state.claimed.load(Ordering::Relaxed);
+            if let Some(kind) = lapsed_budget(config, env.deadline, claimed) {
+                state.record_and_stop(Verdict::ResourceLimit, Some(kind));
+                return;
+            }
+            let wait = env.deadline.saturating_duration_since(Instant::now());
+            state.sched.park(wait, &mut stats.metrics, || {
+                state.stop.load(Ordering::Acquire)
+            });
+            continue;
+        };
+        // One claim per pop: two regions in flight never share an
+        // ordinal, and exactly `max_regions` regions run.
+        let claimed = state.claimed.fetch_add(1, Ordering::Relaxed);
+        let ordinal = match &config.faults {
+            Some(plan) => plan.next_region(),
+            None => claimed,
+        };
+        if let Some(kind) =
+            lapsed_budget(config, env.deadline, claimed).or_else(|| injected_cancel(env, ordinal))
+        {
+            // Re-queue without completing: the region stays in the task
+            // count and lands in the checkpoint.
+            state.sched.requeue(id, (region, depth));
+            state.record_and_stop(Verdict::ResourceLimit, Some(kind));
+            return;
+        }
+        emit(env.trace, || TraceEvent::RegionPopped { ordinal, depth });
+        stats.regions += 1;
+        stats.max_depth = stats.max_depth.max(depth);
+        match guarded_region_step(env, &region, ordinal, stats, ws) {
+            Ok(RegionOutcome::Verified { domain, margin }) => {
+                stats.verified_regions += 1;
+                if let Some(rec) = records {
+                    rec.leaf(&region, domain, margin);
+                }
+                state.sched.complete_one();
+            }
+            Ok(RegionOutcome::Refuted(cex)) => {
+                state.record_and_stop(Verdict::Refuted(cex), None);
+                state.sched.complete_one();
+            }
+            Ok(RegionOutcome::Split {
+                left,
+                right,
+                dim,
+                at,
+            }) => {
+                emit(env.trace, || TraceEvent::RegionPushed { depth: depth + 1 });
+                emit(env.trace, || TraceEvent::RegionPushed { depth: depth + 1 });
+                if let Some(rec) = records {
+                    rec.split(&region, dim, at);
+                }
+                // Children enter the worklist before the parent completes,
+                // so the drained signal never dips mid-split.
+                state
+                    .sched
+                    .push_split(id, (left, depth + 1), (right, depth + 1));
+                state.sched.complete_one();
+            }
+            Ok(RegionOutcome::Unsplittable) => {
+                // Undecidable at f64 precision: an honest resource limit,
+                // never a fabricated refutation. Keep the region in the
+                // worklist so the checkpoint records it.
+                state.sched.requeue(id, (region, depth));
+                state.record_and_stop(Verdict::ResourceLimit, Some(BudgetKind::NumericPrecision));
+            }
+            Err(e) => {
+                state.record_error(e);
+                state.sched.complete_one();
+            }
+        }
+    }
+}
+
 /// Collects the flat leaf/split records of one run and assembles them
 /// into a [`Certificate`] once the verdict is known.
 ///
-/// Shared by the sequential driver (one recorder per run) and the
-/// parallel driver (one per worker, merged under the shared lock like
-/// [`VerifyStats`]).
+/// The driver keeps one per worker and merges them under the run's lock
+/// like [`VerifyStats`].
 #[derive(Debug, Default)]
 pub(crate) struct CertRecorder {
     root: Option<Bounds>,
@@ -634,7 +836,7 @@ impl CertRecorder {
         });
     }
 
-    /// Folds another worker's records into this one (parallel runs).
+    /// Folds another worker's records into this one.
     pub(crate) fn absorb(&mut self, other: CertRecorder) {
         self.leaves.extend(other.leaves);
         self.splits.extend(other.splits);
@@ -721,8 +923,7 @@ pub(crate) fn validate_problem(
     Ok(())
 }
 
-/// Everything a region step needs, shared by the sequential and parallel
-/// drivers.
+/// Everything a region step needs; one per worker.
 pub(crate) struct StepEnv<'a> {
     pub net: &'a Network,
     pub target: usize,
@@ -769,10 +970,9 @@ enum StepResult {
 /// a panicking or poisoned full-precision step is retried once on the
 /// coarsest (interval) domain; only a second failure aborts the run.
 ///
-/// `ws` is the caller's scratch arena (one per sequential run / parallel
-/// worker). It only ever holds buffers whose contents are overwritten
-/// before use, so unwinding mid-step cannot leave observable state behind
-/// (`AssertUnwindSafe` is justified).
+/// `ws` is the worker's scratch arena. It only ever holds buffers whose
+/// contents are overwritten before use, so unwinding mid-step cannot
+/// leave observable state behind (`AssertUnwindSafe` is justified).
 pub(crate) fn guarded_region_step(
     env: &StepEnv<'_>,
     region: &Bounds,
@@ -1728,6 +1928,44 @@ mod tests {
         let resumed = full.resume(&net, &first.checkpoint.unwrap()).unwrap();
         assert_eq!(resumed.verdict, Verdict::Verified);
         assert!(resumed.certificate.is_none(), "resumed runs cannot certify");
+    }
+
+    #[test]
+    fn refutation_outranks_recorded_resource_limit() {
+        let state = RunState {
+            sched: Scheduler::new(1, Vec::new()),
+            claimed: AtomicUsize::new(0),
+            stop: AtomicBool::new(false),
+            found: Mutex::new(None),
+            error: Mutex::new(None),
+            merged: Mutex::new((VerifyStats::default(), None)),
+        };
+        let cex = Counterexample {
+            point: vec![0.0, 0.0],
+            objective: 0.0,
+        };
+
+        // A worker mid-step when the budget lapses may still validate a
+        // counterexample; it must replace the budget verdict.
+        state.record_and_stop(Verdict::ResourceLimit, Some(BudgetKind::Timeout));
+        state.record_and_stop(Verdict::Refuted(cex.clone()), None);
+        assert_eq!(
+            *state.found.lock(),
+            Some((Verdict::Refuted(cex.clone()), None))
+        );
+
+        // A later budget verdict never downgrades the refutation, and a
+        // second refutation does not replace the first.
+        state.record_and_stop(Verdict::ResourceLimit, Some(BudgetKind::Regions));
+        state.record_and_stop(
+            Verdict::Refuted(Counterexample {
+                point: vec![1.0, 1.0],
+                objective: -1.0,
+            }),
+            None,
+        );
+        assert_eq!(*state.found.lock(), Some((Verdict::Refuted(cex), None)));
+        assert!(state.stop.load(Ordering::Acquire));
     }
 
     #[test]

@@ -14,7 +14,8 @@ use charon::faults::{FaultPlan, FaultSite};
 use charon::parallel::ParallelVerifier;
 use charon::policy::{FixedPolicy, LinearPolicy, Policy};
 use charon::{
-    BudgetKind, RobustnessProperty, Verdict, Verifier, VerifierConfig,
+    BudgetKind, RobustnessProperty, TraceEvent, TraceSink, Verdict, Verifier, VerifierConfig,
+    VerifyError,
 };
 use domains::{Bounds, DomainChoice};
 use nn::{samples, Network};
@@ -456,4 +457,50 @@ fn parallel_checkpoint_counts_match_merged_worker_stats() {
         ckpt.regions_done, run.stats.regions,
         "checkpoint progress disagrees with merged worker stats"
     );
+}
+
+/// A trace sink that panics when the driver reports a popped region.
+struct PanickingSink;
+
+impl TraceSink for PanickingSink {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn record(&self, event: &TraceEvent) {
+        if matches!(event, TraceEvent::RegionPopped { .. }) {
+            panic!("injected fault: trace sink");
+        }
+    }
+}
+
+/// A panic in the region driver itself, outside the per-region
+/// isolation boundary, is an engine error at every worker count: never
+/// a process abort, and never a hang while the other workers wait for
+/// the region the panicking worker held.
+#[test]
+fn driver_panic_is_a_worker_panic_error() {
+    quiet_injected_panics();
+    let net = samples::xor_network();
+    let prop = RobustnessProperty::new(Bounds::new(vec![0.3, 0.3], vec![0.7, 0.7]), 1);
+    for threads in [1, 3] {
+        let started = std::time::Instant::now();
+        let run = ParallelVerifier::new(
+            Arc::new(LinearPolicy::default()),
+            VerifierConfig::default(),
+            threads,
+        )
+        .with_trace(Arc::new(PanickingSink))
+        .try_verify_run(&net, &prop);
+        match run {
+            Err(VerifyError::WorkerPanic { message }) => {
+                assert!(message.contains("trace sink"), "message: {message}");
+            }
+            other => panic!("{threads} threads: expected a worker panic, got {other:?}"),
+        }
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(10),
+            "{threads} threads: the run hung after the panic"
+        );
+    }
 }

@@ -105,9 +105,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use charon::policy::LinearPolicy;
-use charon::{
-    Checkpoint, RobustnessProperty, Verdict, Verifier, VerifierConfig, VerifyError, VerifyRun,
-};
+use charon::{Checkpoint, RobustnessProperty, Verdict, VerifierConfig, VerifyError, VerifyRun};
 
 /// Exit status of a CLI invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -369,8 +367,8 @@ fn cmd_verify(args: &Args, out: &mut impl std::io::Write) -> Result<ExitCode, Cl
         None => None,
     };
 
-    // One shared sink for whichever engine runs; `None` leaves the
-    // default NullSink in place (tracing off, zero overhead).
+    // One sink shared by every worker; `None` leaves the default
+    // NullSink in place (tracing off, zero overhead).
     let jsonl = match args.get("trace-out") {
         Some(path) => Some(Arc::new(charon::JsonlSink::create(Path::new(path)).map_err(
             |e| CliError::Data(format!("cannot create trace file {path}: {e}")),
@@ -380,24 +378,13 @@ fn cmd_verify(args: &Args, out: &mut impl std::io::Write) -> Result<ExitCode, Cl
     let sink: Option<charon::telemetry::SharedSink> =
         jsonl.as_ref().map(|s| Arc::clone(s) as _);
 
-    let run: VerifyRun = if threads > 1 {
-        let mut verifier = charon::parallel::ParallelVerifier::new(policy, config, threads);
-        if let Some(sink) = sink {
-            verifier = verifier.with_trace(sink);
-        }
-        match &resume_from {
-            Some(ckpt) => verifier.resume(&net, ckpt)?,
-            None => verifier.try_verify_run(&net, &load_property(args.require("property")?)?)?,
-        }
-    } else {
-        let mut verifier = Verifier::new(policy, config);
-        if let Some(sink) = sink {
-            verifier = verifier.with_trace(sink);
-        }
-        match &resume_from {
-            Some(ckpt) => verifier.resume(&net, ckpt)?,
-            None => verifier.try_verify_run(&net, &load_property(args.require("property")?)?)?,
-        }
+    let mut verifier = charon::parallel::ParallelVerifier::new(policy, config, threads.max(1));
+    if let Some(sink) = sink {
+        verifier = verifier.with_trace(sink);
+    }
+    let run: VerifyRun = match &resume_from {
+        Some(ckpt) => verifier.resume(&net, ckpt)?,
+        None => verifier.try_verify_run(&net, &load_property(args.require("property")?)?)?,
     };
 
     if let (Some(sink), Some(path)) = (&jsonl, args.get("trace-out")) {

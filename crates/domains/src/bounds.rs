@@ -1,5 +1,4 @@
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned box `[lower_1, upper_1] x ... x [lower_n, upper_n]`.
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(b.center(), vec![0.5, 1.0]);
 /// assert_eq!(b.widths(), vec![1.0, 2.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Bounds {
     lower: Vec<f64>,
     upper: Vec<f64>,

@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use tensor::Matrix;
 
 /// An affine transformation `y = W x + b`.
@@ -6,7 +5,7 @@ use tensor::Matrix;
 /// Fully-connected layers are affine directly; convolutional layers are
 /// lowered to this form by [`crate::conv::Conv2d::to_affine`], following the
 /// paper's observation (§2.1) that both can be expressed as affine maps.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AffineLayer {
     /// Weight matrix with shape `output_dim x input_dim`.
     pub weights: Matrix,
@@ -59,7 +58,7 @@ impl AffineLayer {
 /// index-group representation is layout-agnostic: [`crate::conv`] builds the
 /// groups for 2-D spatial pooling, and abstract transformers can consume the
 /// groups without knowing about image shapes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MaxPoolLayer {
     /// Input dimension the layer consumes.
     pub input_dim: usize,
@@ -103,7 +102,7 @@ impl MaxPoolLayer {
 }
 
 /// One layer of a [`crate::Network`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Layer {
     /// Affine transformation `y = W x + b`.
     Affine(AffineLayer),

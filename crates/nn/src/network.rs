@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{Layer, NetworkError};
 
 /// A feed-forward ReLU network `N : R^n -> R^m`.
@@ -24,7 +22,7 @@ use crate::{Layer, NetworkError};
 /// assert_eq!(net.classify(&[-2.0]), 1);
 /// # Ok::<(), nn::NetworkError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Network {
     input_dim: usize,
     output_dim: usize,

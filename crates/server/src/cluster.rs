@@ -14,7 +14,7 @@
 //! # Merge semantics
 //!
 //! Shard verdicts merge with the same record-and-stop preference rule
-//! as [`charon::parallel`] (via [`charon::parallel::verdict_supersedes`]):
+//! as the engine's region driver (via [`charon::verdict_supersedes`]):
 //! the first validated refutation wins and is delivered immediately —
 //! still-queued shards of that job are cancelled, in-flight ones finish
 //! within their own budget and are discarded; all shards `Verified`
@@ -64,7 +64,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use charon::json::ObjectBuilder;
-use charon::parallel::verdict_supersedes;
+use charon::verdict_supersedes;
 use charon::policy::shard_region;
 use charon::telemetry::NodeRow;
 use charon::{Checkpoint, Counterexample, RobustnessProperty, Verdict};

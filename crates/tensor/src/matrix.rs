@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// A dense, row-major matrix of `f64` values.
 ///
 /// # Examples
@@ -11,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(m.rows(), 2);
 /// assert_eq!(m.cols(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -9,9 +9,12 @@ cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q -p charon --test chaos --profile ci
 
-# Portable-fallback gate: the same suite with scalar kernels and the
-# shared-queue scheduler forced, so the non-SIMD dispatch arm and the
-# fallback scheduling discipline stay correct on every host.
+# Engine and service suites: the region driver (sequential and
+# multi-worker), the server, and the cluster's shard merge.
+cargo test -q --release -p charon -p server
+
+# Portable-fallback gate: the same suite with scalar kernels forced, so
+# the non-SIMD dispatch arm stays correct on every host.
 CHARON_FORCE_SCALAR=1 cargo test -q
 
 # Documentation gate: doctests must pass and rustdoc must build clean
