@@ -860,7 +860,6 @@ fn cmd_serve_coordinator(args: &Args, out: &mut impl std::io::Write) -> Result<E
         breaker_cooldown: Duration::from_millis(args.get_u64("breaker-cooldown-ms", 5_000)?),
         journal,
         faults: fault_plan(args)?,
-        ..server::CoordinatorConfig::default()
     };
     let nodes_banner = config
         .nodes

@@ -30,14 +30,11 @@ use crate::protocol::VerifyRequest;
 pub struct Client {
     reader: BufReader<Stream>,
     writer: Stream,
-    max_line_bytes: usize,
 }
 
 impl std::fmt::Debug for Client {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Client")
-            .field("max_line_bytes", &self.max_line_bytes)
-            .finish()
+        f.debug_struct("Client").finish_non_exhaustive()
     }
 }
 
@@ -53,7 +50,6 @@ impl Client {
         Ok(Client {
             reader,
             writer: stream,
-            max_line_bytes: DEFAULT_MAX_LINE_BYTES,
         })
     }
 
@@ -69,12 +65,6 @@ impl Client {
     ) -> std::io::Result<()> {
         self.writer.set_read_timeout(read)?;
         self.writer.set_write_timeout(write)
-    }
-
-    /// Caps the length of one received line (default
-    /// [`DEFAULT_MAX_LINE_BYTES`]).
-    pub fn set_max_line_bytes(&mut self, max: usize) {
-        self.max_line_bytes = max;
     }
 
     /// Sends one request line (the newline is appended here).
@@ -99,7 +89,7 @@ impl Client {
         let mut line = String::new();
         loop {
             line.clear();
-            let n = read_line_bounded(&mut self.reader, &mut line, self.max_line_bytes)?;
+            let n = read_line_bounded(&mut self.reader, &mut line, DEFAULT_MAX_LINE_BYTES)?;
             if n == 0 {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,

@@ -2,9 +2,10 @@
 //! property's input region into shards and fans them out to a pool of
 //! shard-worker daemons ("nodes") over the v3 wire protocol.
 //!
-//! The coordinator front-end speaks the same protocol as a single-node
-//! daemon — `verify`, `query`, `stats`, `drain`, `ping` — so the CLI
-//! and [`crate::submit_reliable`] work against it unchanged. Behind the
+//! The coordinator runs the same front-end as a single-node daemon (the
+//! private `front` module: admission, `ack` de-duplication, journal,
+//! delivery, `query`, `stats`, `drain`, `ping`), so the CLI and
+//! [`crate::submit_reliable`] work against it unchanged. Behind the
 //! front-end, each submitted property's region is split by
 //! [`charon::policy::shard_region`] into `shards` sub-regions; each
 //! shard travels as a self-contained `shard` request (the property text
@@ -36,8 +37,13 @@
 //! that is merely *unreachable* (connect refused) costs the shard
 //! nothing: the dispatcher backs off and the shard drifts to another
 //! node. Shard dispatches are journaled (`shard_dispatched` records)
-//! for post-crash audit; a recovered coordinator job is re-sharded from
-//! scratch.
+//! for post-crash audit only. On restart the journal replay restores
+//! stored results (so `query` and `ack` resubmissions are answered
+//! again), and every accepted-but-unanswered job is re-sharded from
+//! scratch, dispatched anew and counted in `stats.replayed`; its
+//! verdict is stored for `query`. A job's merge state lives only until
+//! its verdict is delivered, and terminal responses are kept in the
+//! same bounded store as the daemon's.
 //!
 //! On top of per-dispatch detection, each node carries a
 //! [`crate::overload::CircuitBreaker`] shared by all of its
@@ -56,29 +62,29 @@
 //! deadline leaves.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::BufReader;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use charon::json::ObjectBuilder;
-use charon::verdict_supersedes;
 use charon::policy::shard_region;
-use charon::telemetry::NodeRow;
+use charon::telemetry::{NodeRow, OverloadStats};
+use charon::verdict_supersedes;
 use charon::{Checkpoint, Counterexample, RobustnessProperty, Verdict};
+use domains::Workspace;
 
 use crate::client::Client;
 use crate::faults::ServerFaultPlan;
-use crate::journal::{Journal, Record};
+use crate::front::{self, send_line, Front, Reply, Tally, Tier};
+use crate::journal::{Record, RecoveredJob};
+use crate::net::{Listener, ServerAddr};
 use crate::overload::{BreakerState, CircuitBreaker};
-use crate::net::{read_line_bounded, Listener, ServerAddr, Stream, DEFAULT_MAX_LINE_BYTES};
 use crate::protocol::{
-    accepted_response, error_response, pending_response, poisoned_response, pong_response,
-    unknown_response, Request, ShardRequest, ShardResult, VerifyRequest, PROTOCOL_VERSION,
+    error_response, poisoned_response, Request, ShardRequest, ShardResult, VerifyRequest,
+    PROTOCOL_VERSION,
 };
-use crate::{send_line, Reply};
 
 /// Coordinator configuration.
 #[derive(Debug, Clone)]
@@ -103,8 +109,6 @@ pub struct CoordinatorConfig {
     pub node_grace: Duration,
     /// Write-ahead journal path (`None` disables durability).
     pub journal: Option<PathBuf>,
-    /// Cap on one received protocol line.
-    pub max_line_bytes: usize,
     /// Consecutive dispatch failures (timeouts, dead connections,
     /// malformed answers) that trip a node's circuit breaker.
     pub breaker_threshold: u32,
@@ -125,7 +129,6 @@ impl Default for CoordinatorConfig {
             retry_budget: 2,
             node_grace: Duration::from_secs(10),
             journal: None,
-            max_line_bytes: DEFAULT_MAX_LINE_BYTES,
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_secs(5),
             faults: None,
@@ -309,18 +312,22 @@ impl MergeState {
 
 /// One queued unit of dispatch work.
 struct ShardTask {
-    request: ShardRequest,
+    /// The wire request dispatched to a node.
+    dispatch: ShardRequest,
     /// When the coordinator accepted the parent job: the epoch the
     /// client deadline counts down from.
     accepted_at: Instant,
     /// The client's end-to-end deadline, if it sent one. The *remaining*
-    /// portion is stamped into `request.deadline_ms` at dispatch time.
+    /// portion is stamped into the shard's `deadline_ms` at dispatch
+    /// time.
     deadline_ms: Option<u64>,
     /// Node-connection deaths this shard has caused so far.
     kills: u32,
 }
 
-/// Coordinator-side state of one accepted job.
+/// Coordinator-side state of one undelivered job. It leaves the job map
+/// at delivery, so a result for a job that is not in the map is a
+/// straggler.
 struct JobState {
     merge: MergeState,
     reply: Reply,
@@ -332,17 +339,12 @@ struct JobState {
     /// the kill count, delivered as a `poisoned` verdict unless a
     /// refutation wins first.
     poison: Option<(String, u32)>,
-    delivered: bool,
 }
 
 #[derive(Default)]
 struct ClusterCounters {
-    accepted: AtomicU64,
     completed: AtomicU64,
-    rejected_draining: AtomicU64,
     errored: AtomicU64,
-    duplicates: AtomicU64,
-    journal_errors: AtomicU64,
     node_failures: AtomicU64,
     deadline_expired: AtomicU64,
     shards_dispatched: AtomicU64,
@@ -351,42 +353,53 @@ struct ClusterCounters {
     shards_quarantined: AtomicU64,
 }
 
+/// The coordinator tier: sharding, the shard queue its dispatchers
+/// drain, the per-job merges and the per-node breakers.
 struct ClusterShared {
+    front: Front,
     nodes: Vec<ServerAddr>,
     shards_per_job: usize,
     retry_budget: u32,
     node_grace: Duration,
-    max_line_bytes: usize,
     queue: Mutex<VecDeque<ShardTask>>,
     /// Wakes dispatchers when shard tasks are enqueued (or at shutdown).
-    work: std::sync::Condvar,
+    work: Condvar,
     jobs: Mutex<HashMap<u64, JobState>>,
-    results: Mutex<HashMap<u64, String>>,
     counters: ClusterCounters,
-    journal: Option<Mutex<Journal>>,
-    draining: AtomicBool,
-    shutdown: AtomicBool,
-    /// Accepted jobs not yet delivered; drain waits for zero.
-    outstanding: Mutex<i64>,
-    idle: std::sync::Condvar,
     node_rows: Mutex<Vec<NodeRow>>,
     /// One circuit breaker per node, keyed by the node's display name
     /// and shared by all of that node's dispatchers.
     breakers: Mutex<HashMap<String, CircuitBreaker>>,
-    faults: Option<Arc<ServerFaultPlan>>,
 }
 
 impl ClusterShared {
-    fn journal_append(&self, record: &Record) -> std::io::Result<()> {
-        match &self.journal {
-            Some(journal) => journal.lock().unwrap().append(record),
-            None => Ok(()),
-        }
-    }
-
-    fn journal_transition(&self, record: &Record) {
-        if self.journal_append(record).is_err() {
-            self.counters.journal_errors.fetch_add(1, Ordering::Relaxed);
+    fn new(config: &CoordinatorConfig, front: Front) -> ClusterShared {
+        ClusterShared {
+            front,
+            nodes: config.nodes.clone(),
+            shards_per_job: if config.shards == 0 {
+                config.nodes.len() * 2
+            } else {
+                config.shards
+            },
+            retry_budget: config.retry_budget.max(1),
+            node_grace: config.node_grace,
+            queue: Mutex::new(VecDeque::new()),
+            work: Condvar::new(),
+            jobs: Mutex::new(HashMap::new()),
+            counters: ClusterCounters::default(),
+            node_rows: Mutex::new(Vec::new()),
+            breakers: Mutex::new(
+                config
+                    .nodes
+                    .iter()
+                    .map(|node| {
+                        let breaker =
+                            CircuitBreaker::new(config.breaker_threshold, config.breaker_cooldown);
+                        (node.to_string(), breaker)
+                    })
+                    .collect(),
+            ),
         }
     }
 
@@ -404,32 +417,69 @@ impl ClusterShared {
         }
     }
 
-    /// Delivers a job's terminal response. Caller holds the jobs lock
-    /// and has checked `!job.delivered`.
-    fn deliver(&self, id: u64, job: &mut JobState, response: &str) {
-        job.delivered = true;
-        self.counters.completed.fetch_add(1, Ordering::Relaxed);
-        self.journal_transition(&Record::Completed {
-            id,
-            response: response.to_string(),
-        });
-        if !crate::is_retryable_response(response) {
-            self.results.lock().unwrap().insert(id, response.to_string());
-        }
-        send_line(&job.reply, response);
-        let mut outstanding = self.outstanding.lock().unwrap();
-        *outstanding -= 1;
-        drop(outstanding);
-        self.idle.notify_all();
+    /// Shards an accepted job's region and queues every shard.
+    fn enqueue(&self, request: VerifyRequest, property: &RobustnessProperty, reply: Reply) {
+        let accepted_at = Instant::now();
+        let regions = shard_region(property.region(), self.shards_per_job);
+        let tasks: Vec<ShardTask> = regions
+            .into_iter()
+            .enumerate()
+            .map(|(index, bounds)| ShardTask {
+                dispatch: ShardRequest {
+                    shard: index,
+                    request: VerifyRequest {
+                        property: property.with_region(bounds).to_text(),
+                        // Stamped with the *remaining* deadline at dispatch.
+                        deadline_ms: None,
+                        // Perturb the seed per shard so shards do not run
+                        // identical attack schedules on adjacent regions.
+                        seed: request
+                            .seed
+                            .wrapping_add((index as u64).wrapping_mul(0x9e37_79b9)),
+                        // `ack` is a client contract; shard lines never
+                        // carry it.
+                        ack: false,
+                        ..request.clone()
+                    },
+                },
+                accepted_at,
+                deadline_ms: request.deadline_ms,
+                kills: 0,
+            })
+            .collect();
+        self.jobs.lock().unwrap().insert(
+            request.id,
+            JobState {
+                merge: MergeState::new(tasks.len()),
+                reply,
+                accepted_at,
+                cert_root: request.cert.then(|| property.region().clone()),
+                poison: None,
+            },
+        );
+        self.queue.lock().unwrap().extend(tasks);
+        self.work.notify_all();
     }
 
-    /// Delivers the job's verdict if the merge has decided it.
-    fn maybe_deliver(&self, id: u64, job: &mut JobState) {
-        if job.delivered {
+    /// Settles job `id`: `decide` sees the job under the jobs lock and
+    /// returns its terminal response, or `None` to leave it running. A
+    /// decided job leaves the map — so its stragglers find nothing — and
+    /// is delivered once the lock is released.
+    fn settle(&self, id: u64, decide: impl FnOnce(&mut JobState) -> Option<String>) {
+        let mut jobs = self.jobs.lock().unwrap();
+        let Some(response) = jobs.get_mut(&id).and_then(decide) else {
             return;
-        }
+        };
+        let job = jobs.remove(&id).expect("a decided job is in the map");
+        drop(jobs);
+        self.counters.completed.fetch_add(1, Ordering::Relaxed);
+        self.front.deliver(id, &job.reply, &response);
+    }
+
+    /// The job's verdict line, once the merge has decided it.
+    fn verdict_response(&self, id: u64, job: &JobState) -> Option<String> {
         let elapsed_ms = job.accepted_at.elapsed().as_secs_f64() * 1e3;
-        let base = |verdict: &str, job: &JobState| {
+        let base = |verdict: &str| {
             ObjectBuilder::new()
                 .str("response", "verdict")
                 .int("id", id)
@@ -439,41 +489,37 @@ impl ClusterShared {
                 .int("regions", job.merge.regions() as u64)
                 .num("elapsed_ms", elapsed_ms)
         };
-        let merged_cert = |job: &JobState| {
+        let merged_cert = || {
             job.cert_root
                 .as_ref()
                 .and_then(|root| job.merge.merged_certificate(root))
         };
         if let Some(cex) = job.merge.refutation() {
-            let mut b = base("refuted", job)
+            let mut b = base("refuted")
                 .num("objective", cex.objective)
                 .arr("counterexample", &cex.point);
-            if let Some(cert) = merged_cert(job) {
+            if let Some(cert) = merged_cert() {
                 b = b.str("cert", &cert);
             }
-            let response = b.build();
-            self.deliver(id, job, &response);
-            return;
+            return Some(b.build());
         }
         if !job.merge.complete() {
-            return;
+            return None;
         }
         if let Some((diagnostic, attempts)) = &job.poison {
             self.counters.errored.fetch_add(1, Ordering::Relaxed);
-            let response = poisoned_response(id, diagnostic, *attempts);
-            self.deliver(id, job, &response);
-            return;
+            return Some(poisoned_response(id, diagnostic, *attempts));
         }
         let response = match job.merge.verdict() {
             Some(Verdict::Verified) => {
-                let mut b = base("verified", job);
-                if let Some(cert) = merged_cert(job) {
+                let mut b = base("verified");
+                if let Some(cert) = merged_cert() {
                     b = b.str("cert", &cert);
                 }
                 b.build()
             }
             _ => {
-                let mut b = base("resource_limit", job);
+                let mut b = base("resource_limit");
                 if let Some(kind) = job.merge.limit() {
                     b = b.str("limit", kind);
                 }
@@ -485,7 +531,127 @@ impl ClusterShared {
                 b.build()
             }
         };
-        self.deliver(id, job, &response);
+        Some(response)
+    }
+}
+
+impl Tier for ClusterShared {
+    fn front(&self) -> &Front {
+        &self.front
+    }
+
+    /// A recovered job is re-sharded from scratch: shard dispatches are
+    /// advisory history, and a shard result from the previous life is
+    /// gone with its connection.
+    fn resume(&self, job: RecoveredJob) {
+        let request = job.request;
+        match RobustnessProperty::from_text(&request.property) {
+            Ok(property) => self.enqueue(request, &property, Reply::Recovered),
+            Err(message) => {
+                // Admission parsed it once; only a hand-edited journal
+                // gets here.
+                self.counters.errored.fetch_add(1, Ordering::Relaxed);
+                self.counters.completed.fetch_add(1, Ordering::Relaxed);
+                let error = error_response(Some(request.id), "bad_request", &message);
+                self.front.deliver(request.id, &Reply::Recovered, &error);
+            }
+        }
+    }
+
+    /// Parses the property, accepts, then shards and queues. A property
+    /// that does not parse is the submitter's problem, not an accepted
+    /// job.
+    fn submit(&self, request: VerifyRequest, reply: Reply) {
+        let property = match RobustnessProperty::from_text(&request.property) {
+            Ok(property) => property,
+            Err(message) => {
+                self.counters.errored.fetch_add(1, Ordering::Relaxed);
+                let message = format!("property: {message}");
+                let error = error_response(Some(request.id), "bad_request", &message);
+                send_line(&reply, &error);
+                return;
+            }
+        };
+        if !self.front.accept(&request, &reply) {
+            return;
+        }
+        self.front.counters.accepted.fetch_add(1, Ordering::Relaxed);
+        self.enqueue(request, &property, reply);
+    }
+
+    fn node_request(&self, _: Request, _: &mut Option<Workspace>) -> String {
+        let message = "this is a coordinator, not a shard node";
+        error_response(None, "bad_request", message)
+    }
+
+    /// Nothing to stop: the coordinator has no partial-work story of its
+    /// own — shards in flight complete on their nodes — so a drain that
+    /// returns `lost=0` proves no accepted job went unanswered.
+    fn stop_work(&self) {}
+
+    fn stopped(&self) {
+        self.work.notify_all();
+    }
+
+    /// The single-node counter surface (so `charon-cli submit --stats`
+    /// renders unchanged); counters with no coordinator analogue read
+    /// zero.
+    fn tally(&self) -> Tally {
+        let counters = &self.counters;
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let (breaker_open, breaker_opens) = {
+            let breakers = self.breakers.lock().unwrap();
+            (
+                breakers
+                    .values()
+                    .filter(|breaker| breaker.is_routing_around())
+                    .count() as u64,
+                breakers.values().map(CircuitBreaker::opens).sum(),
+            )
+        };
+        Tally {
+            workers: self.nodes.len() as u64,
+            queue_depth: self.queue.lock().unwrap().len() as u64,
+            completed: load(&counters.completed),
+            errored: load(&counters.errored),
+            overload: OverloadStats {
+                // The coordinator queue is unbounded and never sheds;
+                // admission pressure is absorbed by the nodes' own shed
+                // controllers.
+                shed: 0,
+                deadline_expired: load(&counters.deadline_expired),
+                breaker_open,
+                breaker_opens,
+            },
+            requeued: load(&counters.shards_redispatched),
+            quarantined: load(&counters.shards_quarantined),
+            worker_deaths: load(&counters.node_failures),
+            ..Tally::default()
+        }
+    }
+
+    /// The cluster extras and the per-node table as parallel arrays.
+    fn stats_tail(&self, _: &Tally, b: ObjectBuilder) -> ObjectBuilder {
+        let counters = &self.counters;
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let b = b
+            .int("nodes", self.nodes.len() as u64)
+            .int("shards_dispatched", load(&counters.shards_dispatched))
+            .int("shards_completed", load(&counters.shards_completed))
+            .int("shards_redispatched", load(&counters.shards_redispatched))
+            .int("shards_quarantined", load(&counters.shards_quarantined))
+            .int("node_failures", load(&counters.node_failures));
+        let rows = self.node_rows.lock().unwrap().clone();
+        if rows.is_empty() {
+            return b;
+        }
+        let column = |f: fn(&NodeRow) -> f64| rows.iter().map(f).collect::<Vec<_>>();
+        let names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
+        b.str("node_names", &names.join(","))
+            .arr("node_dispatched", &column(|r| r.dispatched as f64))
+            .arr("node_completed", &column(|r| r.completed as f64))
+            .arr("node_redispatched", &column(|r| r.redispatched as f64))
+            .arr("node_idle_seconds", &column(|r| r.idle_seconds))
     }
 }
 
@@ -515,9 +681,10 @@ impl CoordinatorHandle {
 }
 
 impl Coordinator {
-    /// Opens the journal, binds the front-end listener, and starts
-    /// `connections_per_node` dispatcher threads per node; returns
-    /// immediately. Runs until a client sends `drain`.
+    /// Opens the journal (re-sharding the jobs it recovers), binds the
+    /// front-end listener, and starts `connections_per_node` dispatcher
+    /// threads per node; returns immediately. Runs until a client sends
+    /// `drain`.
     ///
     /// # Errors
     ///
@@ -530,48 +697,11 @@ impl Coordinator {
                 "coordinator needs at least one node (--nodes)",
             ));
         }
-        let journal = match &config.journal {
-            Some(path) => Some(Journal::open(path, config.faults.clone())?.0),
-            None => None,
-        };
+        let journal = config.journal.as_deref();
+        let (front, replay) = Front::open("coordinator", journal, config.faults.clone())?;
         let listener = Listener::bind(&config.addr)?;
         let addr = listener.local_addr(&config.addr);
-        let shards_per_job = if config.shards == 0 {
-            config.nodes.len() * 2
-        } else {
-            config.shards
-        };
-        let shared = Arc::new(ClusterShared {
-            nodes: config.nodes.clone(),
-            shards_per_job,
-            retry_budget: config.retry_budget.max(1),
-            node_grace: config.node_grace,
-            max_line_bytes: config.max_line_bytes,
-            queue: Mutex::new(VecDeque::new()),
-            jobs: Mutex::new(HashMap::new()),
-            results: Mutex::new(HashMap::new()),
-            counters: ClusterCounters::default(),
-            journal: journal.map(Mutex::new),
-            draining: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
-            outstanding: Mutex::new(0),
-            work: std::sync::Condvar::new(),
-            idle: std::sync::Condvar::new(),
-            node_rows: Mutex::new(Vec::new()),
-            breakers: Mutex::new(
-                config
-                    .nodes
-                    .iter()
-                    .map(|node| {
-                        (
-                            node.to_string(),
-                            CircuitBreaker::new(config.breaker_threshold, config.breaker_cooldown),
-                        )
-                    })
-                    .collect(),
-            ),
-            faults: config.faults.clone(),
-        });
+        let shared = Arc::new(ClusterShared::new(&config, front));
 
         let mut dispatchers = Vec::new();
         for node in &config.nodes {
@@ -581,203 +711,14 @@ impl Coordinator {
                 dispatchers.push(std::thread::spawn(move || dispatcher_loop(&shared, &node)));
             }
         }
-
-        let listen_shared = Arc::clone(&shared);
-        let listen_addr = addr.clone();
-        let listener_thread = std::thread::spawn(move || {
-            loop {
-                match listener.accept() {
-                    Ok(stream) => {
-                        if listen_shared.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-                        let shared = Arc::clone(&listen_shared);
-                        let addr = listen_addr.clone();
-                        std::thread::spawn(move || connection_loop(&shared, stream, &addr));
-                    }
-                    Err(_) => {
-                        if listen_shared.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                    }
-                }
-            }
-            if let ServerAddr::Unix(path) = &listen_addr {
-                let _ = std::fs::remove_file(path);
-            }
-        });
-
+        let write_timeout = Some(Duration::from_secs(10));
+        let listener = front::serve(shared, replay, listener, addr.clone(), None, write_timeout);
         Ok(CoordinatorHandle {
             addr,
-            listener: listener_thread,
+            listener,
             dispatchers,
         })
     }
-}
-
-fn connection_loop(shared: &Arc<ClusterShared>, stream: Stream, addr: &ServerAddr) {
-    let sock: Arc<Mutex<Stream>> = match stream.try_clone() {
-        Ok(writer) => Arc::new(Mutex::new(writer)),
-        Err(_) => return,
-    };
-    let reply = Reply::Socket(Arc::clone(&sock));
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match read_line_bounded(&mut reader, &mut line, shared.max_line_bytes) {
-            Ok(0) => return,
-            Ok(_) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                send_line(&reply, &error_response(None, "bad_request", &e.to_string()));
-                return;
-            }
-            Err(_) => return,
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        match Request::parse(trimmed) {
-            Err(e) => send_line(&reply, &error_response(None, "bad_request", &e)),
-            Ok(Request::Ping) => send_line(&reply, &pong_response()),
-            Ok(Request::Stats) => send_line(&reply, &cluster_stats_response(shared)),
-            Ok(Request::Query { id }) => {
-                let stored = shared.results.lock().unwrap().get(&id).cloned();
-                let response = match stored {
-                    Some(line) => line,
-                    None if shared.jobs.lock().unwrap().contains_key(&id) => pending_response(id),
-                    None => unknown_response(id),
-                };
-                send_line(&reply, &response);
-            }
-            Ok(Request::Verify(request)) => submit_cluster(shared, request, &sock),
-            Ok(Request::Shard(_) | Request::NodeHello | Request::NodeStats) => {
-                send_line(
-                    &reply,
-                    &error_response(
-                        None,
-                        "bad_request",
-                        "this is a coordinator, not a shard node",
-                    ),
-                );
-            }
-            Ok(Request::Drain) => {
-                let summary = drain_cluster(shared);
-                send_line(&reply, &summary);
-                shared.shutdown.store(true, Ordering::SeqCst);
-                shared.work.notify_all();
-                let _ = Stream::connect(addr);
-                return;
-            }
-        }
-    }
-}
-
-/// Admission on the coordinator: reject while draining, deduplicate
-/// `ack` ids, shard the region, journal, enqueue every shard.
-fn submit_cluster(shared: &Arc<ClusterShared>, request: VerifyRequest, sock: &Arc<Mutex<Stream>>) {
-    let id = request.id;
-    let reply = Reply::Socket(Arc::clone(sock));
-    if shared.draining.load(Ordering::SeqCst) {
-        shared
-            .counters
-            .rejected_draining
-            .fetch_add(1, Ordering::Relaxed);
-        send_line(
-            &reply,
-            &error_response(Some(id), "draining", "coordinator is draining; resubmit later"),
-        );
-        return;
-    }
-    if request.ack {
-        let live = {
-            let jobs = shared.jobs.lock().unwrap();
-            jobs.get(&id).is_some_and(|job| !job.delivered)
-        };
-        if live {
-            shared.counters.duplicates.fetch_add(1, Ordering::Relaxed);
-            send_line(&reply, &accepted_response(id, true));
-            return;
-        }
-        if let Some(stored) = shared.results.lock().unwrap().get(&id) {
-            shared.counters.duplicates.fetch_add(1, Ordering::Relaxed);
-            send_line(&reply, stored);
-            return;
-        }
-    }
-    // Shard the region before accepting anything: a property that does
-    // not parse is the submitter's problem, not an accepted job.
-    let property = match RobustnessProperty::from_text(&request.property) {
-        Ok(property) => property,
-        Err(message) => {
-            shared.counters.errored.fetch_add(1, Ordering::Relaxed);
-            send_line(
-                &reply,
-                &error_response(Some(id), "bad_request", &format!("property: {message}")),
-            );
-            return;
-        }
-    };
-    let regions = shard_region(property.region(), shared.shards_per_job);
-    if let Err(e) = shared.journal_append(&Record::Accepted {
-        id,
-        request: request.clone(),
-    }) {
-        shared.counters.journal_errors.fetch_add(1, Ordering::Relaxed);
-        send_line(
-            &reply,
-            &error_response(Some(id), "journal_error", &format!("journal append: {e}")),
-        );
-        return;
-    }
-    shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
-    *shared.outstanding.lock().unwrap() += 1;
-    let accepted_at = Instant::now();
-    let mut tasks = Vec::with_capacity(regions.len());
-    for (index, bounds) in regions.into_iter().enumerate() {
-        tasks.push(ShardTask {
-            request: ShardRequest {
-                id,
-                shard: index,
-                network: request.network.clone(),
-                property: property.with_region(bounds).to_text(),
-                timeout_ms: request.timeout_ms,
-                // Stamped with the *remaining* deadline at dispatch.
-                deadline_ms: None,
-                delta: request.delta,
-                max_regions: request.max_regions,
-                restarts: request.restarts,
-                // Perturb the seed per shard so shards do not run
-                // identical attack schedules on adjacent regions.
-                seed: request
-                    .seed
-                    .wrapping_add((index as u64).wrapping_mul(0x9e37_79b9)),
-                cex_search: request.cex_search,
-                cert: request.cert,
-            },
-            accepted_at,
-            deadline_ms: request.deadline_ms,
-            kills: 0,
-        });
-    }
-    shared.jobs.lock().unwrap().insert(
-        id,
-        JobState {
-            merge: MergeState::new(tasks.len()),
-            reply: Reply::Socket(Arc::clone(sock)),
-            accepted_at,
-            cert_root: request.cert.then(|| property.region().clone()),
-            poison: None,
-            delivered: false,
-        },
-    );
-    if request.ack {
-        send_line(&reply, &accepted_response(id, false));
-    }
-    shared.queue.lock().unwrap().extend(tasks);
-    shared.work.notify_all();
 }
 
 /// Connects (or reuses) this dispatcher's node connection, performing
@@ -811,11 +752,11 @@ fn ensure_client<'a>(
 /// One dispatcher: owns one connection to one node, pulls shard tasks,
 /// dispatches them, and feeds results (or failures) back into the
 /// merge. Idle dispatchers heartbeat their node with `ping`.
-fn dispatcher_loop(shared: &Arc<ClusterShared>, node: &ServerAddr) {
+fn dispatcher_loop(shared: &ClusterShared, node: &ServerAddr) {
     let node_name = node.to_string();
     let mut client: Option<Client> = None;
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shared.front.shutdown.load(Ordering::SeqCst) {
             return;
         }
         // Route around an open breaker: this node's dispatchers take no
@@ -831,7 +772,7 @@ fn dispatcher_loop(shared: &Arc<ClusterShared>, node: &ServerAddr) {
         let task = {
             let mut queue = shared.queue.lock().unwrap();
             loop {
-                if shared.shutdown.load(Ordering::SeqCst) {
+                if shared.front.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
                 if let Some(task) = queue.pop_front() {
@@ -890,22 +831,17 @@ fn dispatcher_loop(shared: &Arc<ClusterShared>, node: &ServerAddr) {
 /// Dispatches one shard task on this dispatcher's connection and
 /// routes the outcome (result, node death, or unreachable node).
 fn dispatch_one(
-    shared: &Arc<ClusterShared>,
+    shared: &ClusterShared,
     node: &ServerAddr,
     node_name: &str,
     client: &mut Option<Client>,
     mut task: ShardTask,
 ) {
+    let id = task.dispatch.request.id;
     // A job already delivered (a refutation won, or an error ended it)
     // cancels its still-queued shards.
-    {
-        let jobs = shared.jobs.lock().unwrap();
-        let live = jobs
-            .get(&task.request.id)
-            .is_some_and(|job| !job.delivered);
-        if !live {
-            return;
-        }
+    if !shared.jobs.lock().unwrap().contains_key(&id) {
+        return;
     }
     // Deadline propagation: stamp the client's *remaining* deadline on
     // the shard at dispatch time, so the node can clamp its budget to
@@ -915,10 +851,10 @@ fn dispatch_one(
     if let Some(deadline_ms) = task.deadline_ms {
         let remaining = charon::deadline::remaining_ms(deadline_ms, task.accepted_at.elapsed());
         if remaining == 0 {
-            expire_job(shared, task.request.id);
+            expire_job(shared, id);
             return;
         }
-        task.request.deadline_ms = Some(remaining);
+        task.dispatch.request.deadline_ms = Some(remaining);
     }
     // An unreachable node costs the shard nothing: back off and requeue
     // so another node's dispatcher picks it up. It does count toward the
@@ -951,15 +887,15 @@ fn dispatch_one(
         redispatched: u64::from(task.kills > 0),
         ..NodeRow::default()
     });
-    shared.journal_transition(&Record::ShardDispatched {
-        id: task.request.id,
-        shard: task.request.shard,
+    shared.front.journal_transition(&Record::ShardDispatched {
+        id,
+        shard: task.dispatch.shard,
         node: node_name.to_string(),
     });
 
     // Injected node kill: sever the connection at this dispatch, as if
     // the node died with the shard in flight.
-    if let Some(plan) = &shared.faults {
+    if let Some(plan) = &shared.front.faults {
         if plan.node_kill.check() {
             *client = None;
             breaker_note(shared, node_name, false);
@@ -972,14 +908,12 @@ fn dispatch_one(
     // node that blows through it is presumed dead (or stalled, which
     // costs the same). A propagated deadline tightens it, because the
     // node clamps its verification budget to the deadline anyway.
-    let budget_ms = task
-        .request
-        .timeout_ms
-        .min(task.request.deadline_ms.unwrap_or(u64::MAX));
+    let shard = &task.dispatch.request;
+    let budget_ms = shard.timeout_ms.min(shard.deadline_ms.unwrap_or(u64::MAX));
     let deadline = Duration::from_millis(budget_ms) + shared.node_grace;
     let _ = connection.set_timeouts(Some(deadline), Some(shared.node_grace));
     let response = connection
-        .send(&task.request.to_line())
+        .send(&task.dispatch.to_line())
         .and_then(|()| connection.recv());
     let fields = match response {
         Ok(fields) => fields,
@@ -993,7 +927,7 @@ fn dispatch_one(
 
     // Injected result drop: the shard completed but its result is lost.
     // The node *answered*, so its breaker records a success.
-    if let Some(plan) = &shared.faults {
+    if let Some(plan) = &shared.front.faults {
         if plan.shard_drop.check() {
             breaker_note(shared, node_name, true);
             shard_failed(shared, task, node_name, "injected shard result drop");
@@ -1002,21 +936,17 @@ fn dispatch_one(
     }
 
     match fields.str_field("response").as_deref() {
-        Ok("shard_result") => {
-            // Reconstruct the wire line the fields were parsed from; the
-            // typed struct is the unit MergeState accepts.
-            match rebuild_shard_result(&fields) {
-                Ok(result) => {
-                    breaker_note(shared, node_name, true);
-                    record_result(shared, node_name, &result);
-                }
-                Err(_) => {
-                    *client = None;
-                    breaker_note(shared, node_name, false);
-                    shard_failed(shared, task, node_name, "malformed shard_result from node");
-                }
+        Ok("shard_result") => match ShardResult::from_fields(&fields) {
+            Ok(result) => {
+                breaker_note(shared, node_name, true);
+                record_result(shared, node_name, &result);
             }
-        }
+            Err(_) => {
+                *client = None;
+                breaker_note(shared, node_name, false);
+                shard_failed(shared, task, node_name, "malformed shard_result from node");
+            }
+        },
         Ok("error") => {
             // The node answered in protocol: healthy as far as the
             // breaker is concerned, even though the job ends in error.
@@ -1032,13 +962,7 @@ fn dispatch_one(
                 .flatten()
                 .unwrap_or_else(|| "node reported an error".to_string());
             shared.counters.errored.fetch_add(1, Ordering::Relaxed);
-            let mut jobs = shared.jobs.lock().unwrap();
-            if let Some(job) = jobs.get_mut(&task.request.id) {
-                if !job.delivered {
-                    let response = error_response(Some(task.request.id), &code, &message);
-                    shared.deliver(task.request.id, job, &response);
-                }
-            }
+            shared.settle(id, |_| Some(error_response(Some(id), &code, &message)));
         }
         _ => {
             *client = None;
@@ -1066,7 +990,7 @@ fn breaker_note(shared: &ClusterShared, node_name: &str, ok: bool) {
 /// `node_hello` handshake) and reports its outcome; everyone else backs
 /// off without touching the queue.
 fn breaker_admits(
-    shared: &Arc<ClusterShared>,
+    shared: &ClusterShared,
     node: &ServerAddr,
     node_name: &str,
     client: &mut Option<Client>,
@@ -1096,48 +1020,23 @@ fn breaker_admits(
 
 /// Answers a job whose client deadline was spent before its shards
 /// could even be dispatched.
-fn expire_job(shared: &Arc<ClusterShared>, id: u64) {
-    let mut jobs = shared.jobs.lock().unwrap();
-    let Some(job) = jobs.get_mut(&id) else {
-        return;
-    };
-    if job.delivered {
-        return;
-    }
-    shared
-        .counters
-        .deadline_expired
-        .fetch_add(1, Ordering::Relaxed);
-    let response = error_response(
-        Some(id),
-        "deadline_expired",
-        "job spent its deadline before its shards could be dispatched",
-    );
-    shared.deliver(id, job, &response);
-}
-
-/// Re-types a parsed `shard_result` response.
-fn rebuild_shard_result(fields: &charon::json::Fields) -> Result<ShardResult, String> {
-    Ok(ShardResult {
-        id: fields.usize_field("id")? as u64,
-        shard: fields.usize_field("shard")?,
-        verdict: fields.str_field("verdict")?,
-        regions: fields.opt_usize("regions")?.unwrap_or(0),
-        seconds: fields.opt_f64("seconds")?.unwrap_or(0.0),
-        objective: fields.opt_f64("objective")?,
-        counterexample: match fields.opt("counterexample") {
-            Some(_) => Some(fields.arr_field("counterexample")?),
-            None => None,
-        },
-        limit: fields.opt_str("limit")?,
-        checkpoint: fields.opt_str("checkpoint")?,
-        cert: fields.opt_str("cert")?,
-    })
+fn expire_job(shared: &ClusterShared, id: u64) {
+    shared.settle(id, |_| {
+        shared
+            .counters
+            .deadline_expired
+            .fetch_add(1, Ordering::Relaxed);
+        Some(error_response(
+            Some(id),
+            "deadline_expired",
+            "job spent its deadline before its shards could be dispatched",
+        ))
+    });
 }
 
 /// Feeds one received shard result into its job's merge and delivers
 /// the job verdict if it is now decided.
-fn record_result(shared: &Arc<ClusterShared>, node_name: &str, result: &ShardResult) {
+fn record_result(shared: &ClusterShared, node_name: &str, result: &ShardResult) {
     shared
         .counters
         .shards_completed
@@ -1147,22 +1046,18 @@ fn record_result(shared: &Arc<ClusterShared>, node_name: &str, result: &ShardRes
         completed: 1,
         ..NodeRow::default()
     });
-    let mut jobs = shared.jobs.lock().unwrap();
-    let Some(job) = jobs.get_mut(&result.id) else {
-        return; // Straggler for a job this process never knew.
-    };
-    if job.delivered {
-        return; // Straggler after a refutation already won.
-    }
-    if job.merge.record(result).is_err() {
-        return; // Out-of-protocol result; the retry path will cover it.
-    }
-    shared.maybe_deliver(result.id, job);
+    // A job missing from the map was already delivered (or never known
+    // to this process): the result is a straggler. An out-of-protocol
+    // result is dropped; the retry path covers it.
+    shared.settle(result.id, |job| {
+        job.merge.record(result).ok()?;
+        shared.verdict_response(result.id, job)
+    });
 }
 
 /// Handles a shard whose dispatch failed after it was counted: requeue
 /// within the retry budget, quarantine (and poison the job) beyond it.
-fn shard_failed(shared: &Arc<ClusterShared>, mut task: ShardTask, node_name: &str, why: &str) {
+fn shard_failed(shared: &ClusterShared, mut task: ShardTask, node_name: &str, why: &str) {
     shared.counters.node_failures.fetch_add(1, Ordering::Relaxed);
     task.kills += 1;
     if task.kills < shared.retry_budget {
@@ -1174,23 +1069,16 @@ fn shard_failed(shared: &Arc<ClusterShared>, mut task: ShardTask, node_name: &st
         .counters
         .shards_quarantined
         .fetch_add(1, Ordering::Relaxed);
+    let (id, shard) = (task.dispatch.request.id, task.dispatch.shard);
     let diagnostic = format!(
-        "shard {} of job {} killed {} node connection(s) (last on {node_name}): {why}; quarantined",
-        task.request.shard, task.request.id, task.kills
+        "shard {shard} of job {id} killed {} node connection(s) (last on {node_name}): {why}; quarantined",
+        task.kills
     );
-    let mut jobs = shared.jobs.lock().unwrap();
-    let Some(job) = jobs.get_mut(&task.request.id) else {
-        return;
-    };
-    if job.delivered {
-        return;
-    }
-    job.poison = Some((diagnostic, task.kills));
     // Resolve the shard so the job can settle; the poison marker wins
     // over the synthetic resource limit at delivery time.
     let synthetic = ShardResult {
-        id: task.request.id,
-        shard: task.request.shard,
+        id,
+        shard,
         verdict: "resource_limit".to_string(),
         regions: 0,
         seconds: 0.0,
@@ -1200,175 +1088,11 @@ fn shard_failed(shared: &Arc<ClusterShared>, mut task: ShardTask, node_name: &st
         checkpoint: None,
         cert: None,
     };
-    let _ = job.merge.record(&synthetic);
-    shared.maybe_deliver(task.request.id, job);
-}
-
-/// Stops admission and waits for every accepted job to deliver, then
-/// reports the accounting. The coordinator has no partial-work story of
-/// its own — shards in flight complete on their nodes — so a drain that
-/// returns `lost=0` proves no accepted job went unanswered.
-fn drain_cluster(shared: &Arc<ClusterShared>) -> String {
-    shared.draining.store(true, Ordering::SeqCst);
-    loop {
-        let outstanding = shared.outstanding.lock().unwrap();
-        if *outstanding <= 0 {
-            break;
-        }
-        let (guard, _) = shared
-            .idle
-            .wait_timeout(outstanding, Duration::from_millis(10))
-            .unwrap();
-        if *guard <= 0 {
-            break;
-        }
-    }
-    let counters = &shared.counters;
-    let accepted = counters.accepted.load(Ordering::Relaxed);
-    let completed = counters.completed.load(Ordering::Relaxed);
-    let lost = accepted as i64 - completed as i64;
-    ObjectBuilder::new()
-        .str("response", "drained")
-        .int("accepted", accepted)
-        .int("completed", completed)
-        .int("checkpointed", 0)
-        .int("unstarted", 0)
-        .int("replayed", 0)
-        .int("requeued", counters.shards_redispatched.load(Ordering::Relaxed))
-        .int(
-            "quarantined",
-            counters.shards_quarantined.load(Ordering::Relaxed),
-        )
-        .num("lost", lost as f64)
-        .build()
-}
-
-/// The coordinator's `stats` response: the full single-node counter
-/// surface (so `charon-cli submit --stats` renders unchanged; counters
-/// with no coordinator analogue read zero) plus the cluster extras and
-/// the per-node table as parallel arrays.
-fn cluster_stats_response(shared: &Arc<ClusterShared>) -> String {
-    let counters = &shared.counters;
-    let (journal_enabled, journal_appends) = match &shared.journal {
-        Some(journal) => (1, journal.lock().unwrap().appends()),
-        None => (0, 0),
-    };
-    let rows = shared.node_rows.lock().unwrap().clone();
-    let names: Vec<String> = rows.iter().map(|r| r.name.clone()).collect();
-    let (breaker_open, breaker_opens) = {
-        let breakers = shared.breakers.lock().unwrap();
-        (
-            breakers
-                .values()
-                .filter(|breaker| breaker.is_routing_around())
-                .count() as u64,
-            breakers.values().map(CircuitBreaker::opens).sum(),
-        )
-    };
-    let overload = charon::telemetry::OverloadStats {
-        // The coordinator queue is unbounded and never sheds; admission
-        // pressure is absorbed by the nodes' own shed controllers.
-        shed: 0,
-        deadline_expired: counters.deadline_expired.load(Ordering::Relaxed),
-        breaker_open,
-        breaker_opens,
-    };
-    let b = ObjectBuilder::new()
-        .str("response", "stats")
-        .int("protocol", PROTOCOL_VERSION)
-        .int("workers", shared.nodes.len() as u64)
-        .int("queue_depth", shared.queue.lock().unwrap().len() as u64)
-        .int("queue_capacity", 0)
-        .int("draining", u64::from(shared.draining.load(Ordering::SeqCst)))
-        .int("accepted", counters.accepted.load(Ordering::Relaxed))
-        .int("completed", counters.completed.load(Ordering::Relaxed))
-        .int("checkpointed", 0)
-        .int("unstarted", 0)
-        .int("rejected_full", 0)
-        .int(
-            "rejected_draining",
-            counters.rejected_draining.load(Ordering::Relaxed),
-        )
-        .int("errored", counters.errored.load(Ordering::Relaxed));
-    let mut b = overload
-        .fields(b)
-        .int("replayed", 0)
-        .int(
-            "requeued",
-            counters.shards_redispatched.load(Ordering::Relaxed),
-        )
-        .int(
-            "quarantined",
-            counters.shards_quarantined.load(Ordering::Relaxed),
-        )
-        .int("worker_deaths", counters.node_failures.load(Ordering::Relaxed))
-        .int("duplicates", counters.duplicates.load(Ordering::Relaxed))
-        .int(
-            "journal_errors",
-            counters.journal_errors.load(Ordering::Relaxed),
-        )
-        .int("journal_enabled", journal_enabled)
-        .int("journal_appends", journal_appends)
-        .int(
-            "results_entries",
-            shared.results.lock().unwrap().len() as u64,
-        )
-        .int("cache_entries", 0)
-        .int("cache_hits", 0)
-        .int("cache_misses", 0)
-        .int("cache_evictions", 0)
-        .num("cache_hit_rate", 0.0)
-        .int("registry_models", 0)
-        .int("registry_hits", 0)
-        .int("registry_misses", 0)
-        .int("attack_calls", 0)
-        .num("attack_seconds", 0.0)
-        .int("propagation_calls", 0)
-        .num("propagation_seconds", 0.0)
-        .int("policy_calls", 0)
-        .num("policy_seconds", 0.0)
-        .int("nodes", shared.nodes.len() as u64)
-        .int(
-            "shards_dispatched",
-            counters.shards_dispatched.load(Ordering::Relaxed),
-        )
-        .int(
-            "shards_completed",
-            counters.shards_completed.load(Ordering::Relaxed),
-        )
-        .int(
-            "shards_redispatched",
-            counters.shards_redispatched.load(Ordering::Relaxed),
-        )
-        .int(
-            "shards_quarantined",
-            counters.shards_quarantined.load(Ordering::Relaxed),
-        )
-        .int("node_failures", counters.node_failures.load(Ordering::Relaxed));
-    if !rows.is_empty() {
-        b = b
-            .str("node_names", &names.join(","))
-            .arr(
-                "node_dispatched",
-                &rows.iter().map(|r| r.dispatched as f64).collect::<Vec<_>>(),
-            )
-            .arr(
-                "node_completed",
-                &rows.iter().map(|r| r.completed as f64).collect::<Vec<_>>(),
-            )
-            .arr(
-                "node_redispatched",
-                &rows
-                    .iter()
-                    .map(|r| r.redispatched as f64)
-                    .collect::<Vec<_>>(),
-            )
-            .arr(
-                "node_idle_seconds",
-                &rows.iter().map(|r| r.idle_seconds).collect::<Vec<_>>(),
-            );
-    }
-    b.build()
+    shared.settle(id, |job| {
+        job.poison = Some((diagnostic, task.kills));
+        let _ = job.merge.record(&synthetic);
+        shared.verdict_response(id, job)
+    });
 }
 
 #[cfg(test)]
@@ -1521,6 +1245,39 @@ mod tests {
         let mut merge = MergeState::new(2);
         assert!(merge.record(&result(5, "verified")).is_err(), "range");
         assert!(merge.record(&result(0, "maybe")).is_err(), "verdict");
+    }
+
+    #[test]
+    fn delivery_drops_the_job_state_and_stores_the_verdict() {
+        let config = CoordinatorConfig {
+            nodes: vec![ServerAddr::Tcp("127.0.0.1:9".to_string())],
+            shards: 2,
+            ..CoordinatorConfig::default()
+        };
+        let (front, _) = Front::open("coordinator", None, None).unwrap();
+        let shared = ClusterShared::new(&config, front);
+        let property = RobustnessProperty::new(domains::Bounds::new(vec![0.0], vec![1.0]), 0);
+        let request = VerifyRequest {
+            id: 1,
+            property: property.to_text(),
+            ..VerifyRequest::default()
+        };
+        shared.submit(request, Reply::Recovered);
+        assert_eq!(shared.jobs.lock().unwrap().len(), 1);
+        assert_eq!(shared.queue.lock().unwrap().len(), 2, "one task per shard");
+
+        record_result(&shared, "n0", &result(0, "verified"));
+        let jobs = || shared.jobs.lock().unwrap().len();
+        assert_eq!(jobs(), 1, "undecided until every shard");
+        record_result(&shared, "n1", &result(1, "verified"));
+        assert_eq!(jobs(), 0, "delivered jobs leave the map");
+        // A straggler for the delivered job is a no-op.
+        record_result(&shared, "n0", &result(0, "refuted"));
+        assert_eq!(jobs(), 0);
+
+        let stored = charon::json::parse_flat_object(&shared.front.query(1)).unwrap();
+        assert_eq!(stored.str_field("verdict").unwrap(), "verified");
+        assert_eq!(shared.tally().completed, 1);
     }
 
     #[test]

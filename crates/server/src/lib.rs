@@ -72,6 +72,7 @@ pub mod cache;
 pub mod client;
 pub mod cluster;
 pub mod faults;
+mod front;
 pub mod journal;
 pub mod net;
 pub mod overload;
@@ -83,17 +84,16 @@ pub use cache::{CacheKey, CachedResult, ResultCache};
 pub use client::{connect_retry, submit_reliable, Client, ClientError, RetryPolicy};
 pub use cluster::{Coordinator, CoordinatorConfig, CoordinatorHandle, MergeState};
 pub use faults::{ServerFaultPlan, ServerFaultPlanBuilder};
+pub use front::RESULTS_CAPACITY;
 pub use net::{ServerAddr, Stream};
 pub use overload::{BreakerState, CircuitBreaker, SojournController};
 pub use protocol::{Request, ShardRequest, ShardResult, VerifyRequest, PROTOCOL_VERSION};
 pub use queue::{JobQueue, RejectReason};
 pub use registry::ModelRegistry;
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{BufReader, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -101,15 +101,15 @@ use charon::json::ObjectBuilder;
 use charon::telemetry::{Histogram, Metrics};
 use charon::{
     BudgetKind, Checkpoint, RobustnessProperty, Verdict, Verifier, VerifierConfig, VerifyError,
+    VerifyRun,
 };
 use domains::Workspace;
+use nn::Network;
 
-use journal::{Journal, Record};
-use net::{read_line_bounded, Listener, DEFAULT_MAX_LINE_BYTES};
-use protocol::{
-    accepted_response, checkpointed_response, error_response, pending_response, poisoned_response,
-    pong_response, unknown_response, unstarted_response,
-};
+use front::{Front, Reply, Tally, Tier};
+use journal::{Record, RecoveredJob};
+use net::Listener;
+use protocol::{checkpointed_response, error_response, poisoned_response, unstarted_response};
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -127,15 +127,10 @@ pub struct ServerConfig {
     /// durability: a crash loses queued and in-flight jobs, exactly the
     /// pre-journal behavior.
     pub journal: Option<PathBuf>,
-    /// Terminal results kept in memory for idempotent `query`
-    /// re-delivery.
-    pub results_capacity: usize,
     /// Worker deaths a single job may cause before it is quarantined
     /// with a `poisoned` verdict (journal-replayed `started` records
     /// count toward the same budget).
     pub retry_budget: u32,
-    /// Cap on one received protocol line.
-    pub max_line_bytes: usize,
     /// Per-connection read timeout. When it fires on a connection with
     /// no queued or in-flight jobs, the connection is closed; otherwise
     /// the daemon keeps waiting for the next request.
@@ -172,9 +167,7 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             cache_capacity: 256,
             journal: None,
-            results_capacity: 1024,
             retry_budget: 2,
-            max_line_bytes: DEFAULT_MAX_LINE_BYTES,
             read_timeout: None,
             write_timeout: Some(Duration::from_secs(10)),
             shed_target: None,
@@ -183,16 +176,6 @@ impl Default for ServerConfig {
             faults: None,
         }
     }
-}
-
-/// Where a job's responses go.
-#[derive(Clone)]
-enum Reply {
-    /// The live submitting connection.
-    Socket(Arc<Mutex<Stream>>),
-    /// A journal-replayed job whose original connection died with the
-    /// previous process; the terminal response is stored for `query`.
-    Recovered,
 }
 
 /// One admitted verification job.
@@ -212,24 +195,12 @@ struct Job {
     checkpoint: Option<String>,
 }
 
-fn send_line(reply: &Reply, line: &str) {
-    // The client may be gone; a failed response write must not take the
-    // daemon down (Rust already ignores SIGPIPE).
-    let Reply::Socket(sock) = reply else { return };
-    let mut writer = sock.lock().unwrap();
-    let _ = writer.write_all(line.as_bytes());
-    let _ = writer.write_all(b"\n");
-    let _ = writer.flush();
-}
-
 #[derive(Default)]
 struct Counters {
-    accepted: AtomicU64,
     completed: AtomicU64,
     checkpointed: AtomicU64,
     unstarted: AtomicU64,
     rejected_full: AtomicU64,
-    rejected_draining: AtomicU64,
     shed: AtomicU64,
     errored: AtomicU64,
     deadline_expired: AtomicU64,
@@ -238,125 +209,91 @@ struct Counters {
     /// `retry_after_ms` estimator divides by.
     service_ns: AtomicU64,
     serviced: AtomicU64,
-    replayed: AtomicU64,
     requeued: AtomicU64,
     quarantined: AtomicU64,
     worker_deaths: AtomicU64,
-    journal_errors: AtomicU64,
-    duplicates: AtomicU64,
     shards_executed: AtomicU64,
     shards_refuted: AtomicU64,
     shards_limited: AtomicU64,
 }
 
-/// Bounded store of terminal responses by job id, answering `query` and
-/// deduplicated resubmissions.
-struct ResultsStore {
-    map: HashMap<u64, String>,
-    order: VecDeque<u64>,
-    capacity: usize,
+/// Why a node did not run a job or shard to a verdict.
+enum Refusal {
+    /// The deadline left no verification budget after the reply margin.
+    Expired,
+    /// A typed failure: the `error` code and its message.
+    Failed(&'static str, String),
 }
 
-impl ResultsStore {
-    fn new(capacity: usize) -> Self {
-        ResultsStore {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    fn insert(&mut self, id: u64, line: String) {
-        if self.map.insert(id, line).is_none() {
-            self.order.push_back(id);
-            while self.order.len() > self.capacity {
-                if let Some(evicted) = self.order.pop_front() {
-                    self.map.remove(&evicted);
-                }
-            }
-        }
-    }
-
-    fn get(&self, id: u64) -> Option<String> {
-        self.map.get(&id).cloned()
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
+/// A verification ready to run: the shared model, the parsed property
+/// and the verifier configuration with the clamped budget.
+struct Prepared {
+    net_hash: u64,
+    net: Arc<Network>,
+    property: RobustnessProperty,
+    config: VerifierConfig,
 }
 
-/// Whether a terminal response line is *retryable* (`busy`, or a
-/// queue-full-class error): those must not be replayed to a
-/// deduplicated resubmission as if they were the job's verdict.
-fn is_retryable_response(line: &str) -> bool {
-    let Ok(fields) = charon::json::parse_flat_object(line) else {
-        return false;
-    };
-    match fields.str_field("response").as_deref() {
-        Ok("busy") => true,
-        Ok("error") => fields
-            .str_field("error")
-            .is_ok_and(|code| client::is_retryable_error_code(&code)),
-        _ => false,
+impl Prepared {
+    /// Runs the verification (resuming `checkpoint` when given),
+    /// mapping an engine error to its `error` code.
+    fn run(self, checkpoint: Option<&str>, ws: &mut Workspace) -> Result<VerifyRun, Refusal> {
+        let mut verifier = Verifier::default();
+        *verifier.config_mut() = self.config;
+        let run = match checkpoint {
+            Some(text) => Checkpoint::from_text(text)
+                .and_then(|checkpoint| verifier.resume_ws(&self.net, &checkpoint, ws)),
+            None => verifier.try_verify_run_ws(&self.net, &self.property, ws),
+        };
+        run.map_err(|error| {
+            let code = match &error {
+                VerifyError::MalformedModel { .. } => "model_error",
+                _ => "engine_error",
+            };
+            Refusal::Failed(code, error.to_string())
+        })
     }
 }
 
+/// The daemon tier: a bounded priority queue drained by supervised
+/// workers, a verdict cache, the model registry and the shed
+/// controller. It is also the shard executor of a cluster node.
 struct Shared {
+    front: Front,
     registry: ModelRegistry,
     queue: JobQueue<Job>,
     cache: Mutex<ResultCache>,
     metrics: Mutex<Metrics>,
     job_hist: Mutex<Histogram>,
     counters: Counters,
-    draining: AtomicBool,
-    shutdown: AtomicBool,
     /// Cancellation flags of jobs currently being verified.
     inflight: Mutex<Vec<(u64, Arc<AtomicBool>)>>,
-    /// Admitted jobs that have not yet reached a terminal response
-    /// (completed, checkpointed, or unstarted). Drain waits on this.
-    outstanding: Mutex<i64>,
-    idle: Condvar,
     workers: usize,
-    journal: Option<Mutex<Journal>>,
-    results: Mutex<ResultsStore>,
-    /// Ids of admitted jobs that are not yet terminal.
-    known: Mutex<HashSet<u64>>,
     retry_budget: u32,
-    max_line_bytes: usize,
     /// Sojourn-time shed controller (admission + dequeue feed it);
     /// absent when no shed target is configured.
     shed: Option<SojournController>,
     /// Reply-delivery reserve subtracted from remaining deadlines.
     reply_margin: Duration,
-    faults: Option<Arc<ServerFaultPlan>>,
 }
 
 impl Shared {
-    fn new(config: &ServerConfig, journal: Option<Journal>) -> Self {
+    fn new(config: &ServerConfig, front: Front) -> Self {
         Shared {
+            front,
             registry: ModelRegistry::new(),
             queue: JobQueue::new(config.queue_capacity),
             cache: Mutex::new(ResultCache::new(config.cache_capacity)),
             metrics: Mutex::new(Metrics::new()),
             job_hist: Mutex::new(Histogram::new()),
             counters: Counters::default(),
-            draining: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
             inflight: Mutex::new(Vec::new()),
-            outstanding: Mutex::new(0),
-            idle: Condvar::new(),
             workers: config.workers,
-            journal: journal.map(Mutex::new),
-            results: Mutex::new(ResultsStore::new(config.results_capacity)),
-            known: Mutex::new(HashSet::new()),
             retry_budget: config.retry_budget.max(1),
-            max_line_bytes: config.max_line_bytes,
             shed: config
                 .shed_target
                 .map(|target| SojournController::new(target, config.shed_interval)),
             reply_margin: config.reply_margin,
-            faults: config.faults.clone(),
         }
     }
 
@@ -390,46 +327,266 @@ impl Shared {
         overload::retry_after_ms(self.queue.len(), self.workers, self.avg_service())
     }
 
-    /// Marks one admitted job terminal and wakes a waiting drain.
-    fn job_terminal(&self) {
-        let mut outstanding = self.outstanding.lock().unwrap();
-        *outstanding -= 1;
-        drop(outstanding);
-        self.idle.notify_all();
-    }
-
-    /// Appends a load-bearing record; the caller decides what an error
-    /// means (admission refuses the job on failure).
-    fn journal_append(&self, record: &Record) -> std::io::Result<()> {
-        match &self.journal {
-            Some(journal) => journal.lock().unwrap().append(record),
-            None => Ok(()),
+    /// The verification budget `request` has left: its `timeout_ms`,
+    /// clamped to the remaining deadline (counted from `since`) minus
+    /// the reply margin; `None` once the deadline leaves nothing.
+    fn budget(&self, request: &VerifyRequest, since: Instant) -> Option<Duration> {
+        let budget = Duration::from_millis(request.timeout_ms);
+        match request.deadline_ms {
+            Some(deadline_ms) => charon::deadline::clamp_budget(
+                budget,
+                charon::deadline::remaining_ms(deadline_ms, since.elapsed()),
+                self.reply_margin,
+            ),
+            None => Some(budget),
         }
     }
 
-    /// Appends a best-effort state-transition record; failures are
-    /// counted but do not stop the job (replay just redoes more work).
-    fn journal_transition(&self, record: &Record) {
-        if self.journal_append(record).is_err() {
-            self.counters.journal_errors.fetch_add(1, Ordering::Relaxed);
-        }
+    /// Everything a job and a shard share before the verifier runs:
+    /// the budget clamp, the model load, the property parse and the
+    /// verifier configuration.
+    fn prepare(
+        &self,
+        request: &VerifyRequest,
+        since: Instant,
+        cancel: Option<Arc<AtomicBool>>,
+    ) -> Result<Prepared, Refusal> {
+        let timeout = self.budget(request, since).ok_or(Refusal::Expired)?;
+        let (net_hash, net) = self
+            .registry
+            .load(&request.network)
+            .map_err(|message| Refusal::Failed("model_error", message))?;
+        let property = RobustnessProperty::from_text(&request.property)
+            .map_err(|message| Refusal::Failed("bad_request", format!("property: {message}")))?;
+        let config = VerifierConfig {
+            delta: request.delta,
+            timeout,
+            max_regions: request.max_regions,
+            restarts: request.restarts,
+            seed: request.seed,
+            counterexample_search: request.cex_search,
+            certificates: request.cert,
+            lipschitz_prefilter: false,
+            cancel,
+            faults: None,
+        };
+        Ok(Prepared {
+            net_hash,
+            net,
+            property,
+            config,
+        })
     }
 
-    /// Delivers a terminal response for an admitted job: journals the
-    /// completion, stores it for `query`, releases the id, writes it to
-    /// the submitter if the connection is still there, and settles the
-    /// drain accounting.
-    fn deliver(&self, id: u64, reply: &Reply, response: &str) {
-        self.journal_transition(&Record::Completed {
+    /// Counts a job that ends without a verdict and renders its error.
+    fn refuse_job(&self, id: u64, refusal: Refusal) -> String {
+        self.counters.completed.fetch_add(1, Ordering::Relaxed);
+        match refusal {
+            Refusal::Expired => {
+                self.counters
+                    .deadline_expired
+                    .fetch_add(1, Ordering::Relaxed);
+                error_response(
+                    Some(id),
+                    "deadline_expired",
+                    "job spent its deadline in the queue",
+                )
+            }
+            Refusal::Failed(code, message) => {
+                self.counters.errored.fetch_add(1, Ordering::Relaxed);
+                error_response(Some(id), code, &message)
+            }
+        }
+    }
+}
+
+impl Tier for Shared {
+    fn front(&self) -> &Front {
+        &self.front
+    }
+
+    /// Re-enqueues a replayed job (resuming from its last checkpoint),
+    /// or quarantines it when it was already in flight through
+    /// `retry_budget` process deaths instead of giving it another chance
+    /// to take the daemon down.
+    fn resume(&self, recovered: RecoveredJob) {
+        let id = recovered.request.id;
+        if recovered.starts >= self.retry_budget {
+            let response = poisoned_response(
+                id,
+                &format!(
+                    "job was in flight during {} process deaths; quarantined on replay",
+                    recovered.starts
+                ),
+                recovered.starts,
+            );
+            self.counters.completed.fetch_add(1, Ordering::Relaxed);
+            self.counters.quarantined.fetch_add(1, Ordering::Relaxed);
+            self.front.deliver(id, &Reply::Recovered, &response);
+            return;
+        }
+        let priority = recovered.request.priority;
+        let job = Job {
             id,
-            response: response.to_string(),
-        });
-        if !is_retryable_response(response) {
-            self.results.lock().unwrap().insert(id, response.to_string());
+            request: recovered.request,
+            accepted_at: Instant::now(),
+            cancel: Arc::new(AtomicBool::new(false)),
+            reply: Reply::Recovered,
+            attempts: recovered.starts,
+            kills: recovered.starts,
+            checkpoint: recovered.checkpoint,
+        };
+        // `requeue`, not `push`: replayed jobs were admitted by a
+        // previous life and must not bounce off the capacity check.
+        if let Err((job, _)) = self.queue.requeue(priority, job) {
+            self.counters.unstarted.fetch_add(1, Ordering::Relaxed);
+            self.front
+                .deliver(job.id, &job.reply, &unstarted_response(job.id));
         }
-        self.known.lock().unwrap().remove(&id);
-        send_line(reply, response);
-        self.job_terminal();
+    }
+
+    /// Sheds, accepts, then enqueues. Every admitted job is guaranteed a
+    /// terminal response — by this process or, with a journal, by the
+    /// next one.
+    fn submit(&self, request: VerifyRequest, reply: Reply) {
+        let id = request.id;
+        // The shed controller runs after deduplication (a retry of a job
+        // we already hold must be answered, not shed) and before the
+        // journal (a shed submission was never accepted, so nothing is
+        // persisted). High-priority work rides through: shedding
+        // protects the latency of the queue by refusing the newest
+        // low-priority arrivals.
+        //
+        // The refusal is additionally gated on the *estimated* delay a
+        // new arrival would face: while the tripped controller waits for
+        // the backlog to drain, admission resumes as soon as the queue
+        // is short enough again — without this, a drained-empty queue
+        // produces no dequeue observations and the latch would shed
+        // forever.
+        if let Some(shed) = &self.shed {
+            if request.priority <= 0
+                && shed.should_shed()
+                && self.queue_delay_estimate() >= shed.target()
+            {
+                self.counters.shed.fetch_add(1, Ordering::Relaxed);
+                let busy = protocol::busy_response(id, self.retry_hint_ms(), "shed");
+                front::send_line(&reply, &busy);
+                return;
+            }
+        }
+        if !self.front.accept(&request, &reply) {
+            return;
+        }
+        let priority = request.priority;
+        let job = Job {
+            id,
+            request,
+            accepted_at: Instant::now(),
+            cancel: Arc::new(AtomicBool::new(false)),
+            reply,
+            attempts: 0,
+            kills: 0,
+            checkpoint: None,
+        };
+        match self.queue.push(priority, job) {
+            Ok(()) => {
+                self.front.counters.accepted.fetch_add(1, Ordering::Relaxed);
+            }
+            Err((job, reason)) => {
+                let response = match reason {
+                    // A full queue is the `busy` surface (protocol ≥ 5):
+                    // the refusal carries how long the queue needs to
+                    // drain, so clients back off usefully instead of
+                    // guessing.
+                    RejectReason::Full => {
+                        self.counters.rejected_full.fetch_add(1, Ordering::Relaxed);
+                        protocol::busy_response(job.id, self.retry_hint_ms(), "queue_full")
+                    }
+                    RejectReason::Closed => self.front.draining_response(job.id),
+                };
+                self.front.deliver(job.id, &job.reply, &response);
+            }
+        }
+    }
+
+    fn node_request(&self, request: Request, scratch: &mut Option<Workspace>) -> String {
+        match request {
+            Request::Shard(shard) => {
+                execute_shard(self, &shard, scratch.get_or_insert_with(Workspace::new))
+            }
+            Request::NodeHello => protocol::node_hello_response(self.workers),
+            // `node_stats`, the only other kind the front-end forwards.
+            _ => protocol::node_stats_response(
+                self.counters.shards_executed.load(Ordering::Relaxed),
+                self.counters.shards_refuted.load(Ordering::Relaxed),
+                self.counters.shards_limited.load(Ordering::Relaxed),
+            ),
+        }
+    }
+
+    /// Reports every still-queued job back to its submitter as
+    /// unstarted and cancels in-flight jobs so they return checkpoints.
+    /// The cancel flags are re-signalled each round because a worker
+    /// may pop a job and only register it in `inflight` moments later.
+    fn stop_work(&self) {
+        for job in self.queue.close_and_drain() {
+            self.counters.unstarted.fetch_add(1, Ordering::Relaxed);
+            self.front
+                .deliver(job.id, &job.reply, &unstarted_response(job.id));
+        }
+        for (_, cancel) in self.inflight.lock().unwrap().iter() {
+            cancel.store(true, Ordering::SeqCst);
+        }
+    }
+
+    fn tally(&self) -> Tally {
+        let counters = &self.counters;
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let cache = self.cache.lock().unwrap();
+        Tally {
+            workers: self.workers as u64,
+            queue_depth: self.queue.len() as u64,
+            queue_capacity: self.queue.capacity() as u64,
+            completed: load(&counters.completed),
+            checkpointed: load(&counters.checkpointed),
+            unstarted: load(&counters.unstarted),
+            rejected_full: load(&counters.rejected_full),
+            errored: load(&counters.errored),
+            // A single-node daemon has no breakers, so those read zero.
+            overload: charon::telemetry::OverloadStats {
+                shed: load(&counters.shed),
+                deadline_expired: load(&counters.deadline_expired),
+                breaker_open: 0,
+                breaker_opens: 0,
+            },
+            requeued: load(&counters.requeued),
+            quarantined: load(&counters.quarantined),
+            worker_deaths: load(&counters.worker_deaths),
+            cache_entries: cache.len() as u64,
+            cache_hits: cache.hits(),
+            cache_misses: cache.misses(),
+            cache_evictions: cache.evictions(),
+            cache_hit_rate: cache.hit_rate(),
+            registry_models: self.registry.len() as u64,
+            registry_hits: self.registry.hits(),
+            registry_misses: self.registry.misses(),
+            metrics: self.metrics.lock().unwrap().clone(),
+        }
+    }
+
+    /// The latency histograms merged across all workers.
+    fn stats_tail(&self, tally: &Tally, b: ObjectBuilder) -> ObjectBuilder {
+        let to_f64 = |counts: &[u64]| -> Vec<f64> { counts.iter().map(|&c| c as f64).collect() };
+        let job_hist = self.job_hist.lock().unwrap().clone();
+        b.arr("job_latency_hist", &to_f64(job_hist.counts()))
+            .arr(
+                "attack_latency_hist",
+                &to_f64(tally.metrics.attack_hist.counts()),
+            )
+            .arr(
+                "propagation_latency_hist",
+                &to_f64(tally.metrics.propagation_hist.counts()),
+            )
     }
 }
 
@@ -472,335 +629,30 @@ impl Server {
     /// *corrupt* journal refuses to start rather than silently dropping
     /// jobs; a torn final record is expected crash damage and is fine).
     pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
-        let (journal, replay) = match &config.journal {
-            Some(path) => {
-                let (journal, replay) = Journal::open(path, config.faults.clone())?;
-                (Some(journal), Some(replay))
-            }
-            None => (None, None),
-        };
+        let (front, replay) =
+            Front::open("daemon", config.journal.as_deref(), config.faults.clone())?;
         let listener = Listener::bind(&config.addr)?;
         let addr = listener.local_addr(&config.addr);
-        let shared = Arc::new(Shared::new(&config, journal));
-
-        if let Some(replay) = replay {
-            restore(&shared, replay);
-        }
+        let shared = Arc::new(Shared::new(&config, front));
 
         let mut supervisors = Vec::with_capacity(config.workers.max(1));
         for _ in 0..config.workers.max(1) {
             let shared = Arc::clone(&shared);
             supervisors.push(std::thread::spawn(move || supervisor_loop(&shared)));
         }
-
-        let listen_shared = Arc::clone(&shared);
-        let listen_addr = addr.clone();
-        let read_timeout = config.read_timeout;
-        let write_timeout = config.write_timeout;
-        let listener_thread = std::thread::spawn(move || {
-            loop {
-                match listener.accept() {
-                    Ok(stream) => {
-                        if listen_shared.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        if let Some(plan) = &listen_shared.faults {
-                            if plan.conn_drop.check() {
-                                stream.shutdown();
-                                continue;
-                            }
-                        }
-                        let _ = stream.set_read_timeout(read_timeout);
-                        let _ = stream.set_write_timeout(write_timeout);
-                        let shared = Arc::clone(&listen_shared);
-                        let addr = listen_addr.clone();
-                        std::thread::spawn(move || connection_loop(&shared, stream, &addr));
-                    }
-                    Err(_) => {
-                        if listen_shared.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                    }
-                }
-            }
-            if let ServerAddr::Unix(path) = &listen_addr {
-                let _ = std::fs::remove_file(path);
-            }
-        });
-
+        let listener = front::serve(
+            shared,
+            replay,
+            listener,
+            addr.clone(),
+            config.read_timeout,
+            config.write_timeout,
+        );
         Ok(ServerHandle {
             addr,
-            listener: listener_thread,
+            listener,
             supervisors,
         })
-    }
-}
-
-/// Re-admits what the journal replay recovered: stored results become
-/// queryable, live jobs are re-enqueued (resuming from their last
-/// checkpoint), and jobs that were already in flight through
-/// `retry_budget` process deaths are quarantined instead of being given
-/// another chance to take the daemon down.
-fn restore(shared: &Arc<Shared>, replay: journal::Replay) {
-    {
-        let mut results = shared.results.lock().unwrap();
-        for (id, response) in replay.results {
-            if !is_retryable_response(&response) {
-                results.insert(id, response);
-            }
-        }
-    }
-    for recovered in replay.live {
-        let id = recovered.request.id;
-        shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
-        shared.counters.replayed.fetch_add(1, Ordering::Relaxed);
-        *shared.outstanding.lock().unwrap() += 1;
-        if recovered.starts >= shared.retry_budget {
-            let response = poisoned_response(
-                id,
-                &format!(
-                    "job was in flight during {} process deaths; quarantined on replay",
-                    recovered.starts
-                ),
-                recovered.starts,
-            );
-            shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-            shared.counters.quarantined.fetch_add(1, Ordering::Relaxed);
-            shared.deliver(id, &Reply::Recovered, &response);
-            continue;
-        }
-        shared.known.lock().unwrap().insert(id);
-        let priority = recovered.request.priority;
-        let job = Job {
-            id,
-            request: recovered.request,
-            accepted_at: Instant::now(),
-            cancel: Arc::new(AtomicBool::new(false)),
-            reply: Reply::Recovered,
-            attempts: recovered.starts,
-            kills: recovered.starts,
-            checkpoint: recovered.checkpoint,
-        };
-        // `requeue`, not `push`: replayed jobs were admitted by a
-        // previous life and must not bounce off the capacity check.
-        if let Err((job, _)) = shared.queue.requeue(priority, job) {
-            shared.counters.unstarted.fetch_add(1, Ordering::Relaxed);
-            shared.deliver(job.id, &job.reply, &unstarted_response(job.id));
-        }
-    }
-}
-
-fn connection_loop(shared: &Arc<Shared>, stream: Stream, addr: &ServerAddr) {
-    let sock: Arc<Mutex<Stream>> = match stream.try_clone() {
-        Ok(writer) => Arc::new(Mutex::new(writer)),
-        Err(_) => return,
-    };
-    let reply = Reply::Socket(Arc::clone(&sock));
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    // Shard requests (cluster tier) execute synchronously on this
-    // connection thread; the scratch arena is created on first use so
-    // plain clients pay nothing for it.
-    let mut shard_ws: Option<Workspace> = None;
-    loop {
-        line.clear();
-        match read_line_bounded(&mut reader, &mut line, shared.max_line_bytes) {
-            Ok(0) => return,
-            Ok(_) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                send_line(&reply, &error_response(None, "bad_request", &e.to_string()));
-                return;
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                // Idle-timeout policy: close only if no queued or
-                // in-flight job still holds this connection's reply
-                // handle; otherwise keep waiting for the next request.
-                // Two references are the connection's own (`sock` plus
-                // the clone inside `reply`); anything beyond that is a
-                // job that still owes this client a response.
-                if Arc::strong_count(&sock) <= 2 {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return,
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        match Request::parse(trimmed) {
-            Err(e) => send_line(&reply, &error_response(None, "bad_request", &e)),
-            Ok(Request::Ping) => send_line(&reply, &pong_response()),
-            Ok(Request::Stats) => send_line(&reply, &stats_response(shared)),
-            Ok(Request::Query { id }) => {
-                let stored = shared.results.lock().unwrap().get(id);
-                let response = match stored {
-                    Some(line) => line,
-                    None if shared.known.lock().unwrap().contains(&id) => pending_response(id),
-                    None => unknown_response(id),
-                };
-                send_line(&reply, &response);
-            }
-            Ok(Request::Verify(request)) => submit(shared, request, &sock),
-            Ok(Request::Shard(shard)) => {
-                let ws = shard_ws.get_or_insert_with(Workspace::new);
-                let response = execute_shard(shared, &shard, ws);
-                send_line(&reply, &response);
-            }
-            Ok(Request::NodeHello) => {
-                send_line(&reply, &protocol::node_hello_response(shared.workers));
-            }
-            Ok(Request::NodeStats) => {
-                let counters = &shared.counters;
-                send_line(
-                    &reply,
-                    &protocol::node_stats_response(
-                        counters.shards_executed.load(Ordering::Relaxed),
-                        counters.shards_refuted.load(Ordering::Relaxed),
-                        counters.shards_limited.load(Ordering::Relaxed),
-                    ),
-                );
-            }
-            Ok(Request::Drain) => {
-                let summary = drain(shared);
-                // Write the summary before waking the listener: once the
-                // listener exits, `ServerHandle::join` returns and the
-                // hosting process may exit, killing this thread. The
-                // response must already be on the wire by then.
-                send_line(&reply, &summary);
-                shared.shutdown.store(true, Ordering::SeqCst);
-                let _ = Stream::connect(addr);
-                return;
-            }
-        }
-    }
-}
-
-/// Admission control: reject while draining or at capacity, deduplicate
-/// `ack`-mode resubmissions, journal, then enqueue. Every admitted job
-/// is guaranteed a terminal response — by this process or, with a
-/// journal, by the next one.
-fn submit(shared: &Arc<Shared>, request: VerifyRequest, sock: &Arc<Mutex<Stream>>) {
-    let id = request.id;
-    let reply = Reply::Socket(Arc::clone(sock));
-    if shared.draining.load(Ordering::SeqCst) {
-        shared
-            .counters
-            .rejected_draining
-            .fetch_add(1, Ordering::Relaxed);
-        send_line(
-            &reply,
-            &error_response(Some(id), "draining", "daemon is draining; resubmit later"),
-        );
-        return;
-    }
-    if request.ack {
-        // Idempotent ids: a resubmission (a retry whose ack or verdict
-        // was lost in a crash) must not run the job twice.
-        if shared.known.lock().unwrap().contains(&id) {
-            shared.counters.duplicates.fetch_add(1, Ordering::Relaxed);
-            send_line(&reply, &accepted_response(id, true));
-            return;
-        }
-        if let Some(stored) = shared.results.lock().unwrap().get(id) {
-            shared.counters.duplicates.fetch_add(1, Ordering::Relaxed);
-            send_line(&reply, &stored);
-            return;
-        }
-    }
-    // The shed controller runs after deduplication (a retry of a job we
-    // already hold must be answered, not shed) and before the journal
-    // (a shed submission was never accepted, so nothing is persisted).
-    // High-priority work rides through: shedding protects the latency
-    // of the queue by refusing the newest low-priority arrivals.
-    //
-    // The refusal is additionally gated on the *estimated* delay a new
-    // arrival would face: while the tripped controller waits for the
-    // backlog to drain, admission resumes as soon as the queue is short
-    // enough again — without this, a drained-empty queue produces no
-    // dequeue observations and the latch would shed forever.
-    if let Some(shed) = &shared.shed {
-        if request.priority <= 0
-            && shed.should_shed()
-            && shared.queue_delay_estimate() >= shed.target()
-        {
-            shared.counters.shed.fetch_add(1, Ordering::Relaxed);
-            send_line(
-                &reply,
-                &protocol::busy_response(id, shared.retry_hint_ms(), "shed"),
-            );
-            return;
-        }
-    }
-    // The accepted record is load-bearing: it must be on disk before the
-    // client hears anything, otherwise a crash between ack and disk
-    // would silently lose an acknowledged job.
-    if let Err(e) = shared.journal_append(&Record::Accepted {
-        id,
-        request: request.clone(),
-    }) {
-        shared.counters.journal_errors.fetch_add(1, Ordering::Relaxed);
-        send_line(
-            &reply,
-            &error_response(Some(id), "journal_error", &format!("journal append: {e}")),
-        );
-        return;
-    }
-    let wants_ack = request.ack;
-    let priority = request.priority;
-    let job = Job {
-        id,
-        request,
-        accepted_at: Instant::now(),
-        cancel: Arc::new(AtomicBool::new(false)),
-        reply,
-        attempts: 0,
-        kills: 0,
-        checkpoint: None,
-    };
-    // Count the job outstanding *before* it becomes poppable, so a
-    // drain can never observe an admitted-but-uncounted job; likewise
-    // the ack goes out before the push so it always precedes the
-    // verdict on the wire.
-    *shared.outstanding.lock().unwrap() += 1;
-    shared.known.lock().unwrap().insert(id);
-    if wants_ack {
-        send_line(&job.reply, &accepted_response(id, false));
-    }
-    match shared.queue.push(priority, job) {
-        Ok(()) => {
-            shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
-        }
-        Err((job, reason)) => {
-            let response = match reason {
-                // A full queue is the `busy` surface (protocol ≥ 5):
-                // the refusal carries how long the queue needs to
-                // drain, so clients back off usefully instead of
-                // guessing.
-                RejectReason::Full => {
-                    shared.counters.rejected_full.fetch_add(1, Ordering::Relaxed);
-                    protocol::busy_response(job.id, shared.retry_hint_ms(), "queue_full")
-                }
-                RejectReason::Closed => {
-                    shared
-                        .counters
-                        .rejected_draining
-                        .fetch_add(1, Ordering::Relaxed);
-                    error_response(
-                        Some(job.id),
-                        "draining",
-                        "daemon is draining; resubmit later",
-                    )
-                }
-            };
-            shared.deliver(job.id, &job.reply, &response);
-        }
     }
 }
 
@@ -850,7 +702,7 @@ fn supervisor_loop(shared: &Arc<Shared>) {
                 shared.counters.completed.fetch_add(1, Ordering::Relaxed);
                 shared.counters.quarantined.fetch_add(1, Ordering::Relaxed);
                 let response = poisoned_response(job.id, &diagnostic, job.kills);
-                shared.deliver(job.id, &job.reply, &response);
+                shared.front.deliver(job.id, &job.reply, &response);
             } else {
                 shared.counters.requeued.fetch_add(1, Ordering::Relaxed);
                 let priority = job.request.priority;
@@ -858,7 +710,9 @@ fn supervisor_loop(shared: &Arc<Shared>) {
                     // Draining: the job goes back to its submitter
                     // unstarted, like everything else still queued.
                     shared.counters.unstarted.fetch_add(1, Ordering::Relaxed);
-                    shared.deliver(job.id, &job.reply, &unstarted_response(job.id));
+                    shared
+                        .front
+                        .deliver(job.id, &job.reply, &unstarted_response(job.id));
                 }
             }
         }
@@ -884,32 +738,10 @@ fn worker_loop(shared: &Arc<Shared>, slot: &Mutex<Option<Job>>) {
         // without registering in-flight state or starting the verifier:
         // under overload, workers must not burn time on answers nobody
         // is waiting for.
-        if let Some(deadline_ms) = job.request.deadline_ms {
-            let remaining =
-                charon::deadline::remaining_ms(deadline_ms, job.accepted_at.elapsed());
-            if charon::deadline::clamp_budget(
-                Duration::from_millis(job.request.timeout_ms),
-                remaining,
-                shared.reply_margin,
-            )
-            .is_none()
-            {
-                shared
-                    .counters
-                    .deadline_expired
-                    .fetch_add(1, Ordering::Relaxed);
-                shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-                shared.deliver(
-                    job.id,
-                    &job.reply,
-                    &error_response(
-                        Some(job.id),
-                        "deadline_expired",
-                        "job spent its deadline in the queue",
-                    ),
-                );
-                continue;
-            }
+        if shared.budget(&job.request, job.accepted_at).is_none() {
+            let response = shared.refuse_job(job.id, Refusal::Expired);
+            shared.front.deliver(job.id, &job.reply, &response);
+            continue;
         }
         job.attempts += 1;
         // Park a copy where the supervisor can recover it if this thread
@@ -920,11 +752,11 @@ fn worker_loop(shared: &Arc<Shared>, slot: &Mutex<Option<Job>>) {
             .lock()
             .unwrap()
             .push((job.id, Arc::clone(&job.cancel)));
-        shared.journal_transition(&Record::Started {
+        shared.front.journal_transition(&Record::Started {
             id: job.id,
             attempt: job.attempts,
         });
-        if let Some(plan) = &shared.faults {
+        if let Some(plan) = &shared.front.faults {
             if plan.worker_must_die(job.id) {
                 panic!("injected worker kill (job {})", job.id);
             }
@@ -944,58 +776,29 @@ fn worker_loop(shared: &Arc<Shared>, slot: &Mutex<Option<Job>>) {
             .unwrap()
             .retain(|(id, _)| *id != job.id);
         *slot.lock().unwrap() = None;
-        shared.deliver(job.id, &job.reply, &response);
+        shared.front.deliver(job.id, &job.reply, &response);
     }
 }
 
 /// Runs one admitted job to a terminal response line, updating counters
 /// and telemetry.
-fn execute_job(shared: &Arc<Shared>, job: &Job, ws: &mut Workspace) -> String {
+fn execute_job(shared: &Shared, job: &Job, ws: &mut Workspace) -> String {
     let start = Instant::now();
     let counters = &shared.counters;
     let request = &job.request;
 
-    // Clamp the verification budget to the remaining client deadline
-    // minus the reply margin, so the verifier's anytime ladder absorbs
-    // the pressure. The dequeue path already filtered jobs that expired
-    // in the queue; this re-check closes the race against the clock.
-    let mut budget = Duration::from_millis(request.timeout_ms);
-    if let Some(deadline_ms) = request.deadline_ms {
-        let remaining = charon::deadline::remaining_ms(deadline_ms, job.accepted_at.elapsed());
-        match charon::deadline::clamp_budget(budget, remaining, shared.reply_margin) {
-            Some(clamped) => budget = clamped,
-            None => {
-                counters.deadline_expired.fetch_add(1, Ordering::Relaxed);
-                counters.completed.fetch_add(1, Ordering::Relaxed);
-                return error_response(
-                    Some(job.id),
-                    "deadline_expired",
-                    "job spent its deadline in the queue",
-                );
-            }
-        }
-    }
-
-    let (net_hash, net) = match shared.registry.load(&request.network) {
-        Ok(found) => found,
-        Err(message) => {
-            counters.errored.fetch_add(1, Ordering::Relaxed);
-            counters.completed.fetch_add(1, Ordering::Relaxed);
-            return error_response(Some(job.id), "model_error", &message);
-        }
+    // The budget is clamped to the remaining client deadline minus the
+    // reply margin, so the verifier's anytime ladder absorbs the
+    // pressure. The dequeue path already filtered jobs that expired in
+    // the queue; this re-check closes the race against the clock.
+    let prepared = match shared.prepare(request, job.accepted_at, Some(Arc::clone(&job.cancel))) {
+        Ok(prepared) => prepared,
+        Err(refusal) => return shared.refuse_job(job.id, refusal),
     };
-    let property = match RobustnessProperty::from_text(&request.property) {
-        Ok(property) => property,
-        Err(message) => {
-            counters.errored.fetch_add(1, Ordering::Relaxed);
-            counters.completed.fetch_add(1, Ordering::Relaxed);
-            return error_response(Some(job.id), "bad_request", &format!("property: {message}"));
-        }
-    };
-
+    let net_hash = prepared.net_hash;
     let key = CacheKey {
         net_hash,
-        property: property.to_text(),
+        property: prepared.property.to_text(),
         config: request.config_key(),
     };
     if let Some(hit) = shared.cache.lock().unwrap().get(&key) {
@@ -1030,38 +833,11 @@ fn execute_job(shared: &Arc<Shared>, job: &Job, ws: &mut Workspace) -> String {
         return b.build();
     }
 
-    let mut verifier = Verifier::default();
-    *verifier.config_mut() = VerifierConfig {
-        delta: request.delta,
-        timeout: budget,
-        max_regions: request.max_regions,
-        restarts: request.restarts,
-        seed: request.seed,
-        counterexample_search: request.cex_search,
-        certificates: request.cert,
-        lipschitz_prefilter: false,
-        cancel: Some(Arc::clone(&job.cancel)),
-        faults: None,
-    };
-
     // A journal-replayed checkpoint resumes the interrupted search
     // instead of re-verifying from scratch.
-    let run = match &job.checkpoint {
-        Some(text) => Checkpoint::from_text(text)
-            .and_then(|checkpoint| verifier.resume_ws(&net, &checkpoint, ws)),
-        None => verifier.try_verify_run_ws(&net, &property, ws),
-    };
-    let run = match run {
+    let run = match prepared.run(job.checkpoint.as_deref(), ws) {
         Ok(run) => run,
-        Err(error) => {
-            counters.errored.fetch_add(1, Ordering::Relaxed);
-            counters.completed.fetch_add(1, Ordering::Relaxed);
-            let code = match &error {
-                VerifyError::MalformedModel { .. } => "model_error",
-                _ => "engine_error",
-            };
-            return error_response(Some(job.id), code, &error.to_string());
-        }
+        Err(refusal) => return shared.refuse_job(job.id, refusal),
     };
 
     let elapsed = start.elapsed();
@@ -1128,14 +904,14 @@ fn execute_job(shared: &Arc<Shared>, job: &Job, ws: &mut Workspace) -> String {
         }
         Verdict::ResourceLimit => {
             let drain_cancelled = matches!(run.limit, Some(BudgetKind::Cancelled))
-                && shared.draining.load(Ordering::SeqCst);
+                && shared.front.draining.load(Ordering::SeqCst);
             if drain_cancelled {
                 if let Some(checkpoint) = &run.checkpoint {
                     counters.checkpointed.fetch_add(1, Ordering::Relaxed);
                     // The checkpoint record lands before the completed
                     // record, so a crash in between replays the job from
                     // the checkpoint instead of from scratch.
-                    shared.journal_transition(&Record::Checkpointed {
+                    shared.front.journal_transition(&Record::Checkpointed {
                         id: job.id,
                         regions_done: checkpoint.regions_done,
                         checkpoint: checkpoint.to_text(),
@@ -1165,78 +941,41 @@ fn execute_job(shared: &Arc<Shared>, job: &Job, ws: &mut Workspace) -> String {
 /// dispatch), owns retry (an orphaned shard is re-dispatched), and a
 /// shard's sub-region is too specific for the verdict cache to earn its
 /// keep. The node is a stateless executor.
-fn execute_shard(shared: &Arc<Shared>, shard: &protocol::ShardRequest, ws: &mut Workspace) -> String {
+fn execute_shard(shared: &Shared, shard: &ShardRequest, ws: &mut Workspace) -> String {
     let start = Instant::now();
-    shared
-        .counters
-        .shards_executed
-        .fetch_add(1, Ordering::Relaxed);
+    let counters = &shared.counters;
+    counters.shards_executed.fetch_add(1, Ordering::Relaxed);
     // Chaos hook: a stalled node holds the shard (and its connection)
     // without answering, exactly like a wedged NIC or a GC'd VM — the
     // coordinator's read deadline and circuit breaker must cover it.
-    if let Some(plan) = &shared.faults {
+    if let Some(plan) = &shared.front.faults {
         plan.maybe_stall_shard();
     }
     // The dispatch carries the remaining client deadline; what is left
     // after the reply margin bounds this shard's verification budget.
-    let mut budget = Duration::from_millis(shard.timeout_ms);
-    if let Some(deadline_ms) = shard.deadline_ms {
-        match charon::deadline::clamp_budget(budget, deadline_ms, shared.reply_margin) {
-            Some(clamped) => budget = clamped,
-            None => {
-                shared
-                    .counters
-                    .deadline_expired
-                    .fetch_add(1, Ordering::Relaxed);
-                return error_response(
-                    Some(shard.id),
-                    "deadline_expired",
-                    "shard arrived with its deadline spent",
-                );
-            }
-        }
-    }
-    let (_, net) = match shared.registry.load(&shard.network) {
-        Ok(found) => found,
-        Err(message) => return error_response(Some(shard.id), "model_error", &message),
-    };
-    let property = match RobustnessProperty::from_text(&shard.property) {
-        Ok(property) => property,
-        Err(message) => {
-            return error_response(Some(shard.id), "bad_request", &format!("property: {message}"))
-        }
-    };
-    let mut verifier = Verifier::default();
-    *verifier.config_mut() = VerifierConfig {
-        delta: shard.delta,
-        timeout: budget,
-        max_regions: shard.max_regions,
-        restarts: shard.restarts,
-        seed: shard.seed,
-        counterexample_search: shard.cex_search,
-        certificates: shard.cert,
-        lipschitz_prefilter: false,
-        cancel: None,
-        faults: None,
-    };
-    let run = match verifier.try_verify_run_ws(&net, &property, ws) {
+    let id = shard.request.id;
+    let run = shared
+        .prepare(&shard.request, Instant::now(), None)
+        .and_then(|prepared| prepared.run(None, ws));
+    let run = match run {
         Ok(run) => run,
-        Err(error) => {
-            let code = match &error {
-                VerifyError::MalformedModel { .. } => "model_error",
-                _ => "engine_error",
-            };
-            return error_response(Some(shard.id), code, &error.to_string());
+        Err(Refusal::Expired) => {
+            counters.deadline_expired.fetch_add(1, Ordering::Relaxed);
+            return error_response(
+                Some(id),
+                "deadline_expired",
+                "shard arrived with its deadline spent",
+            );
         }
+        Err(Refusal::Failed(code, message)) => return error_response(Some(id), code, &message),
     };
     shared.metrics.lock().unwrap().merge(&run.stats.metrics);
-    let seconds = start.elapsed().as_secs_f64();
-    let mut result = protocol::ShardResult {
-        id: shard.id,
+    let mut result = ShardResult {
+        id,
         shard: shard.shard,
         verdict: String::new(),
         regions: run.stats.regions,
-        seconds,
+        seconds: start.elapsed().as_secs_f64(),
         objective: None,
         counterexample: None,
         limit: None,
@@ -1246,163 +985,17 @@ fn execute_shard(shared: &Arc<Shared>, shard: &protocol::ShardRequest, ws: &mut 
     match &run.verdict {
         Verdict::Verified => result.verdict = "verified".to_string(),
         Verdict::Refuted(cex) => {
-            shared
-                .counters
-                .shards_refuted
-                .fetch_add(1, Ordering::Relaxed);
+            counters.shards_refuted.fetch_add(1, Ordering::Relaxed);
             result.verdict = "refuted".to_string();
             result.objective = Some(cex.objective);
             result.counterexample = Some(cex.point.clone());
         }
         Verdict::ResourceLimit => {
-            shared
-                .counters
-                .shards_limited
-                .fetch_add(1, Ordering::Relaxed);
+            counters.shards_limited.fetch_add(1, Ordering::Relaxed);
             result.verdict = "resource_limit".to_string();
             result.limit = run.limit.map(|kind| kind.to_string());
             result.checkpoint = run.checkpoint.as_ref().map(Checkpoint::to_text);
         }
     }
     result.to_line()
-}
-
-/// Stops admission, reports queued jobs as unstarted, checkpoints
-/// in-flight jobs via cooperative cancellation, and waits for the
-/// accounting to balance. Returns the drain summary response; the
-/// caller shuts the listener down after delivering it.
-fn drain(shared: &Arc<Shared>) -> String {
-    shared.draining.store(true, Ordering::SeqCst);
-
-    // Every still-queued job goes back to its submitter, unstarted.
-    for job in shared.queue.close_and_drain() {
-        shared.counters.unstarted.fetch_add(1, Ordering::Relaxed);
-        shared.deliver(job.id, &job.reply, &unstarted_response(job.id));
-    }
-
-    // Cancel in-flight jobs until every admitted job is terminal. The
-    // cancel flags are re-signalled each round because a worker may pop
-    // a job and only register it in `inflight` moments later.
-    loop {
-        for (_, cancel) in shared.inflight.lock().unwrap().iter() {
-            cancel.store(true, Ordering::SeqCst);
-        }
-        let outstanding = shared.outstanding.lock().unwrap();
-        if *outstanding <= 0 {
-            break;
-        }
-        let (guard, _) = shared
-            .idle
-            .wait_timeout(outstanding, Duration::from_millis(10))
-            .unwrap();
-        if *guard <= 0 {
-            break;
-        }
-    }
-
-    let counters = &shared.counters;
-    let accepted = counters.accepted.load(Ordering::Relaxed);
-    let completed = counters.completed.load(Ordering::Relaxed);
-    let checkpointed = counters.checkpointed.load(Ordering::Relaxed);
-    let unstarted = counters.unstarted.load(Ordering::Relaxed);
-    let lost = accepted as i64 - (completed + checkpointed + unstarted) as i64;
-    ObjectBuilder::new()
-        .str("response", "drained")
-        .int("accepted", accepted)
-        .int("completed", completed)
-        .int("checkpointed", checkpointed)
-        .int("unstarted", unstarted)
-        .int("replayed", counters.replayed.load(Ordering::Relaxed))
-        .int("requeued", counters.requeued.load(Ordering::Relaxed))
-        .int("quarantined", counters.quarantined.load(Ordering::Relaxed))
-        .num("lost", lost as f64)
-        .build()
-}
-
-/// Builds the `stats` response: queue/cache/registry state plus the
-/// per-phase engine metrics and latency histograms merged across all
-/// workers.
-fn stats_response(shared: &Arc<Shared>) -> String {
-    let metrics = shared.metrics.lock().unwrap().clone();
-    let job_hist = shared.job_hist.lock().unwrap().clone();
-    let counters = &shared.counters;
-    let (cache_entries, cache_hits, cache_misses, cache_evictions, cache_hit_rate) = {
-        let cache = shared.cache.lock().unwrap();
-        (
-            cache.len(),
-            cache.hits(),
-            cache.misses(),
-            cache.evictions(),
-            cache.hit_rate(),
-        )
-    };
-    let (journal_enabled, journal_appends) = match &shared.journal {
-        Some(journal) => (1, journal.lock().unwrap().appends()),
-        None => (0, 0),
-    };
-    let to_f64 = |counts: &[u64]| -> Vec<f64> { counts.iter().map(|&c| c as f64).collect() };
-    // The overload block renders through the shared telemetry type so
-    // this tier and the coordinator expose identical key names; a
-    // single-node daemon has no breakers, so those read zero.
-    let overload_stats = charon::telemetry::OverloadStats {
-        shed: counters.shed.load(Ordering::Relaxed),
-        deadline_expired: counters.deadline_expired.load(Ordering::Relaxed),
-        breaker_open: 0,
-        breaker_opens: 0,
-    };
-    let b = ObjectBuilder::new()
-        .str("response", "stats")
-        .int("protocol", PROTOCOL_VERSION)
-        .int("workers", shared.workers as u64)
-        .int("queue_depth", shared.queue.len() as u64)
-        .int("queue_capacity", shared.queue.capacity() as u64)
-        .int("draining", u64::from(shared.draining.load(Ordering::SeqCst)))
-        .int("accepted", counters.accepted.load(Ordering::Relaxed))
-        .int("completed", counters.completed.load(Ordering::Relaxed))
-        .int("checkpointed", counters.checkpointed.load(Ordering::Relaxed))
-        .int("unstarted", counters.unstarted.load(Ordering::Relaxed))
-        .int("rejected_full", counters.rejected_full.load(Ordering::Relaxed))
-        .int(
-            "rejected_draining",
-            counters.rejected_draining.load(Ordering::Relaxed),
-        )
-        .int("errored", counters.errored.load(Ordering::Relaxed));
-    overload_stats
-        .fields(b)
-        .int("replayed", counters.replayed.load(Ordering::Relaxed))
-        .int("requeued", counters.requeued.load(Ordering::Relaxed))
-        .int("quarantined", counters.quarantined.load(Ordering::Relaxed))
-        .int("worker_deaths", counters.worker_deaths.load(Ordering::Relaxed))
-        .int("duplicates", counters.duplicates.load(Ordering::Relaxed))
-        .int(
-            "journal_errors",
-            counters.journal_errors.load(Ordering::Relaxed),
-        )
-        .int("journal_enabled", journal_enabled)
-        .int("journal_appends", journal_appends)
-        .int(
-            "results_entries",
-            shared.results.lock().unwrap().len() as u64,
-        )
-        .int("cache_entries", cache_entries as u64)
-        .int("cache_hits", cache_hits)
-        .int("cache_misses", cache_misses)
-        .int("cache_evictions", cache_evictions)
-        .num("cache_hit_rate", cache_hit_rate)
-        .int("registry_models", shared.registry.len() as u64)
-        .int("registry_hits", shared.registry.hits())
-        .int("registry_misses", shared.registry.misses())
-        .int("attack_calls", metrics.attack_calls)
-        .num("attack_seconds", metrics.attack_seconds)
-        .int("propagation_calls", metrics.propagation_calls)
-        .num("propagation_seconds", metrics.propagation_seconds)
-        .int("policy_calls", metrics.policy_calls)
-        .num("policy_seconds", metrics.policy_seconds)
-        .arr("job_latency_hist", &to_f64(job_hist.counts()))
-        .arr("attack_latency_hist", &to_f64(metrics.attack_hist.counts()))
-        .arr(
-            "propagation_latency_hist",
-            &to_f64(metrics.propagation_hist.counts()),
-        )
-        .build()
 }

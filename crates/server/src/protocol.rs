@@ -190,12 +190,25 @@ impl VerifyRequest {
 
     /// Renders this request back to its wire form (used by clients).
     pub fn to_line(&self) -> String {
-        let mut b = ObjectBuilder::new()
-            .str("request", "verify")
-            .int("id", self.id)
+        self.render(None)
+    }
+
+    /// The one field codec behind `verify` and `shard` lines: a shard
+    /// line carries its index after the id and no priority (a node runs
+    /// one shard at a time on the dispatching connection).
+    fn render(&self, shard: Option<usize>) -> String {
+        let kind = if shard.is_some() { "shard" } else { "verify" };
+        let mut b = ObjectBuilder::new().str("request", kind).int("id", self.id);
+        if let Some(index) = shard {
+            b = b.int("shard", index as u64);
+        }
+        b = b
             .str("network", &self.network)
-            .str("property", &self.property)
-            .num("priority", self.priority as f64)
+            .str("property", &self.property);
+        if shard.is_none() {
+            b = b.num("priority", self.priority as f64);
+        }
+        b = b
             .int("timeout_ms", self.timeout_ms)
             .num("delta", self.delta)
             .int("max_regions", self.max_regions as u64)
@@ -243,93 +256,41 @@ impl Default for VerifyRequest {
     }
 }
 
-/// One shard of a coordinator-split verification job.
+/// One shard of a coordinator-split verification job: the job's
+/// request with the shard's sub-region, plus the shard index.
 ///
 /// The property text already carries the shard's sub-region (the
 /// coordinator rewrites the region with
 /// `RobustnessProperty::with_region` before dispatch), so a node
 /// executes a shard exactly like a stand-alone verification — it does
-/// not know or care that the region is a fragment.
+/// not know or care that the region is a fragment. On the wire a shard
+/// uses the `verify` field codec; its `deadline_ms` is the client's
+/// *remaining* deadline at dispatch time (protocol ≥ 5), and its `seed`
+/// is perturbed per shard so shards do not run identical attack
+/// schedules.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardRequest {
-    /// The coordinator-side job id this shard belongs to.
-    pub id: u64,
     /// Shard index within the job (0-based, unique per job).
     pub shard: usize,
-    /// Path (on the node's filesystem) of the `charon-net` file.
-    pub network: String,
-    /// Inline `charon-prop 1` text with the shard's sub-region.
-    pub property: String,
-    /// Verification wall-clock budget in ms for this shard.
-    pub timeout_ms: u64,
-    /// Remaining client deadline in ms, measured at dispatch time
-    /// (protocol ≥ 5). The node clamps its verification budget to this
-    /// minus its reply margin, so a shard never burns worker time past
-    /// the moment the coordinator's client stops waiting.
-    pub deadline_ms: Option<u64>,
-    /// δ of the δ-complete check.
-    pub delta: f64,
-    /// Region-count budget for this shard.
-    pub max_regions: usize,
-    /// Random restarts per counterexample search.
-    pub restarts: usize,
-    /// Base RNG seed (the coordinator perturbs it per shard so shards
-    /// do not run identical attack schedules).
-    pub seed: u64,
-    /// Whether gradient-based counterexample search is enabled.
-    pub cex_search: bool,
-    /// Request a sub-certificate for this shard (`cert` field on the
-    /// `shard_result`); the coordinator merges the sub-certificates
-    /// under the shard split tree.
-    pub cert: bool,
+    /// The job's request fields for this shard; `id` is the
+    /// coordinator-side job id.
+    pub request: VerifyRequest,
 }
 
 impl ShardRequest {
     fn from_fields(fields: &Fields) -> Result<ShardRequest, String> {
-        let timeout_ms = fields
-            .opt_usize("timeout_ms")?
-            .map_or(DEFAULT_TIMEOUT_MS, |v| v as u64);
-        if timeout_ms == 0 {
-            return Err("timeout_ms must be positive".to_string());
-        }
+        // A shard always names its job.
+        fields.usize_field("id")?;
         Ok(ShardRequest {
-            id: fields.usize_field("id")? as u64,
             shard: fields.usize_field("shard")?,
-            network: fields.str_field("network")?,
-            property: fields.str_field("property")?,
-            timeout_ms,
-            deadline_ms: fields.opt_usize("deadline_ms")?.map(|v| v as u64),
-            delta: fields.opt_f64("delta")?.unwrap_or(1e-9),
-            max_regions: fields.opt_usize("max_regions")?.unwrap_or(200_000),
-            restarts: fields.opt_usize("restarts")?.unwrap_or(2),
-            seed: fields.opt_usize("seed")?.unwrap_or(0) as u64,
-            cex_search: fields.opt_usize("cex_search")? != Some(0),
-            cert: fields.opt_usize("cert")? == Some(1),
+            request: VerifyRequest::from_fields(fields)?,
         })
     }
 
     /// Renders this shard back to its wire form (used by the
     /// coordinator's dispatchers).
     pub fn to_line(&self) -> String {
-        let mut b = ObjectBuilder::new()
-            .str("request", "shard")
-            .int("id", self.id)
-            .int("shard", self.shard as u64)
-            .str("network", &self.network)
-            .str("property", &self.property)
-            .int("timeout_ms", self.timeout_ms)
-            .num("delta", self.delta)
-            .int("max_regions", self.max_regions as u64)
-            .int("restarts", self.restarts as u64)
-            .int("seed", self.seed)
-            .int("cex_search", u64::from(self.cex_search));
-        if let Some(deadline) = self.deadline_ms {
-            b = b.int("deadline_ms", deadline);
-        }
-        if self.cert {
-            b = b.int("cert", 1);
-        }
-        b.build()
+        self.request.render(Some(self.shard))
     }
 }
 
@@ -375,6 +336,15 @@ impl ShardResult {
         if fields.str_field("response")? != "shard_result" {
             return Err("not a shard_result response".to_string());
         }
+        ShardResult::from_fields(&fields)
+    }
+
+    /// Re-types the fields of a parsed `shard_result` response.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message describing the malformed field.
+    pub fn from_fields(fields: &Fields) -> Result<ShardResult, String> {
         let verdict = fields.str_field("verdict")?;
         if !matches!(verdict.as_str(), "verified" | "refuted" | "resource_limit") {
             return Err(format!("unknown shard verdict {verdict:?}"));
@@ -645,31 +615,32 @@ mod tests {
     #[test]
     fn shard_request_round_trips_through_wire_form() {
         let shard = ShardRequest {
-            id: 41,
             shard: 3,
-            network: "/tmp/a.net".to_string(),
-            property: "charon-prop 1\ntarget 2\nend\n".to_string(),
-            timeout_ms: 800,
-            deadline_ms: Some(650),
-            delta: 1e-6,
-            max_regions: 4096,
-            restarts: 3,
-            seed: 12345,
-            cex_search: false,
-            cert: true,
+            request: VerifyRequest {
+                id: 41,
+                network: "/tmp/a.net".to_string(),
+                property: "charon-prop 1\ntarget 2\nend\n".to_string(),
+                timeout_ms: 800,
+                deadline_ms: Some(650),
+                delta: 1e-6,
+                max_regions: 4096,
+                restarts: 3,
+                seed: 12345,
+                cex_search: false,
+                cert: true,
+                ..VerifyRequest::default()
+            },
         };
         match Request::parse(&shard.to_line()).unwrap() {
             Request::Shard(parsed) => assert_eq!(parsed, shard),
             other => panic!("expected shard, got {other:?}"),
         }
         // deadline_ms stays off the wire when unset (v4 nodes parse it).
-        let unbounded = ShardRequest {
-            deadline_ms: None,
-            ..shard.clone()
-        };
+        let mut unbounded = shard.clone();
+        unbounded.request.deadline_ms = None;
         assert!(!unbounded.to_line().contains("deadline_ms"));
         match Request::parse(&unbounded.to_line()).unwrap() {
-            Request::Shard(parsed) => assert_eq!(parsed.deadline_ms, None),
+            Request::Shard(parsed) => assert_eq!(parsed.request.deadline_ms, None),
             other => panic!("expected shard, got {other:?}"),
         }
         assert_eq!(
@@ -683,6 +654,45 @@ mod tests {
         assert!(
             Request::parse("{\"request\": \"shard\", \"id\": 1}").is_err(),
             "shard needs its payload fields"
+        );
+    }
+
+    #[test]
+    fn verify_and_shard_lines_share_one_codec_with_pinned_bytes() {
+        let shard = ShardRequest {
+            shard: 3,
+            request: VerifyRequest {
+                id: 41,
+                network: "/tmp/a.net".to_string(),
+                property: "charon-prop 1\ntarget 2\nend\n".to_string(),
+                timeout_ms: 800,
+                deadline_ms: Some(650),
+                delta: 1e-6,
+                max_regions: 4096,
+                restarts: 3,
+                seed: 12345,
+                cex_search: false,
+                cert: true,
+                ..VerifyRequest::default()
+            },
+        };
+        assert_eq!(
+            shard.to_line(),
+            r#"{"request": "shard", "id": 41, "shard": 3, "network": "/tmp/a.net", "property": "charon-prop 1\ntarget 2\nend\n", "timeout_ms": 800, "delta": 1e-6, "max_regions": 4096, "restarts": 3, "seed": 12345, "cex_search": 0, "deadline_ms": 650, "cert": 1}"#
+        );
+        let verify = VerifyRequest {
+            id: 7,
+            network: "n".to_string(),
+            property: "p".to_string(),
+            priority: -2,
+            deadline_ms: Some(5),
+            ack: true,
+            cert: true,
+            ..VerifyRequest::default()
+        };
+        assert_eq!(
+            verify.to_line(),
+            r#"{"request": "verify", "id": 7, "network": "n", "property": "p", "priority": -2.0, "timeout_ms": 10000, "delta": 1e-9, "max_regions": 200000, "restarts": 2, "seed": 0, "cex_search": 1, "deadline_ms": 5, "ack": 1, "cert": 1}"#
         );
     }
 

@@ -20,6 +20,7 @@ use std::sync::Arc;
 
 use domains::Bounds;
 use proptest::prelude::*;
+use server::journal::{Journal, Record};
 use server::{
     Client, Coordinator, CoordinatorConfig, CoordinatorHandle, MergeState, RetryPolicy, Server,
     ServerAddr, ServerConfig, ServerFaultPlanBuilder, ServerHandle, ShardResult, VerifyRequest,
@@ -244,6 +245,77 @@ fn duplicate_ack_submission_is_deduplicated_by_the_coordinator() {
     let stats = client.request("{\"request\": \"stats\"}").unwrap();
     assert_eq!(stats.usize_field("accepted").unwrap(), 1, "{stats:?}");
     assert!(stats.usize_field("duplicates").unwrap() >= 1, "{stats:?}");
+    cluster.shutdown();
+}
+
+/// Polls `query` until the job's terminal result is stored.
+fn query_until_terminal(addr: &ServerAddr, id: u64) -> charon::json::Fields {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    let mut client = Client::connect(addr).unwrap();
+    loop {
+        let response = client.request(&VerifyRequest::query_line(id)).unwrap();
+        match response.str_field("response").unwrap().as_str() {
+            "pending" | "unknown" if std::time::Instant::now() < deadline => {
+                std::thread::sleep(std::time::Duration::from_millis(10));
+            }
+            "pending" | "unknown" => panic!("job {id} never resolved: {response:?}"),
+            _ => return response,
+        }
+    }
+}
+
+#[test]
+fn coordinator_replay_answers_recovered_jobs_and_serves_stored_results() {
+    // The previous coordinator life, reconstructed as its journal: job
+    // 21 was accepted and never answered (its shard dispatches died with
+    // the process); job 22 completed with a stored verdict.
+    let dir = unique_dir("replay");
+    let wal = dir.join("coord.wal");
+    let stored = "{\"response\": \"verdict\", \"id\": 22, \"verdict\": \"refuted\", \"cached\": 0}";
+    {
+        let (mut journal, _) = Journal::open(&wal, None).unwrap();
+        let request = xor_request(&dir, 21, 1, false);
+        journal
+            .append(&Record::Accepted { id: 21, request })
+            .unwrap();
+        journal
+            .append(&Record::ShardDispatched {
+                id: 21,
+                shard: 0,
+                node: "unix:/gone.sock".to_string(),
+            })
+            .unwrap();
+        let request = xor_request(&dir, 22, 1, true);
+        journal
+            .append(&Record::Accepted { id: 22, request })
+            .unwrap();
+        let response = stored.to_string();
+        journal
+            .append(&Record::Completed { id: 22, response })
+            .unwrap();
+    }
+
+    let cluster = start_cluster(
+        "replay",
+        CoordinatorConfig {
+            journal: Some(wal),
+            ..CoordinatorConfig::default()
+        },
+    );
+    let addr = cluster.coordinator.addr().clone();
+    let verdict = query_until_terminal(&addr, 21);
+    let field = |key: &str| verdict.str_field(key).unwrap();
+    assert_eq!(field("response"), "verdict", "{verdict:?}");
+    assert_eq!(field("verdict"), "verified", "{verdict:?}");
+    assert_eq!(verdict.usize_field("id").unwrap(), 21);
+
+    let mut client = Client::connect(&addr).unwrap();
+    let line = client.request(&VerifyRequest::query_line(22)).unwrap();
+    let stored = charon::json::parse_flat_object(stored).unwrap();
+    assert_eq!(format!("{line:?}"), format!("{stored:?}"));
+    let stats = client.request("{\"request\": \"stats\"}").unwrap();
+    assert_eq!(stats.usize_field("replayed").unwrap(), 1, "{stats:?}");
+    assert_eq!(stats.usize_field("accepted").unwrap(), 1, "{stats:?}");
     cluster.shutdown();
 }
 
