@@ -19,11 +19,16 @@
 //!   verifier treats a NaN objective as a poisoned attack (never as a
 //!   refutation) and falls back to abstraction — see the failure model
 //!   in the `charon` crate docs.
+//! * [`Minimizer::minimize_from`] warm-starts the search from an
+//!   incumbent (the best point of an enclosing region): PGD from the
+//!   incumbent plus one coordinate sweep, no FGSM run and no random
+//!   restarts. Without an incumbent it is [`Minimizer::minimize`] bit for
+//!   bit.
 //! * [`Minimizer::minimize_traced`] is the observability twin of
-//!   `minimize`: identical search, plus one [`PhaseStat`] per phase
-//!   (center probe, FGSM, coordinate descent, PGD restarts) with
-//!   evaluation counts, best objective, and wall time. The untraced path
-//!   reads no clocks.
+//!   `minimize_from`: identical search, plus one [`PhaseStat`] per phase
+//!   (center probe, FGSM, coordinate descent, PGD restarts; or warm PGD
+//!   and coordinate descent) with evaluation counts, best objective, and
+//!   wall time. The untraced path reads no clocks.
 //!
 //! # Examples
 //!
@@ -149,64 +154,6 @@ pub fn pgd(
             if step < 1e-12 {
                 break;
             }
-        }
-    }
-    AttackResult {
-        point: best,
-        objective: best_f,
-        evals,
-    }
-}
-
-/// Projected gradient descent with momentum: accumulates a velocity
-/// vector, which helps cross shallow saddle regions of the piecewise
-/// linear objective that plain PGD stalls on.
-///
-/// Early-exits as soon as the objective becomes non-positive.
-///
-/// # Panics
-///
-/// Panics if `start` is not inside `region`.
-pub fn pgd_momentum(
-    net: &Network,
-    region: &Bounds,
-    target: usize,
-    start: &[f64],
-    config: &PgdConfig,
-    momentum: f64,
-) -> AttackResult {
-    assert!(region.contains(start), "start point must lie in the region");
-    assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-    let mut x = start.to_vec();
-    let mut velocity = vec![0.0; x.len()];
-    let mut best = x.clone();
-    let mut best_f = sanitize_objective(net.objective(&x, target));
-    let mut evals = 1;
-    let step = config.step_fraction * region.mean_width().max(1e-12);
-
-    for _ in 0..config.steps {
-        if best_f <= 0.0 {
-            break;
-        }
-        let g = net.objective_gradient(&x, target);
-        evals += 1;
-        if !gradient_is_finite(&g) {
-            break;
-        }
-        let norm = tensor::ops::norm2(&g);
-        if norm < 1e-12 && tensor::ops::norm2(&velocity) < 1e-12 {
-            break;
-        }
-        for ((vi, gi), xi) in velocity.iter_mut().zip(g.iter()).zip(x.iter_mut()) {
-            *vi = momentum * *vi - step * gi / norm.max(1e-12);
-            *xi += *vi;
-        }
-        region.clamp(&mut x);
-        let f = sanitize_objective(net.objective(&x, target));
-        evals += 1;
-        if f < best_f {
-            best_f = f;
-            best = x.clone();
         }
     }
     AttackResult {
@@ -417,7 +364,11 @@ pub fn fgsm_step(net: &Network, region: &Bounds, target: usize, start: &[f64]) -
 /// [`Minimizer::minimize_traced`].
 #[derive(Debug, Clone)]
 pub struct PhaseStat {
-    /// Phase name: `center`, `fgsm`, `coordinate`, or `restarts`.
+    /// Phase name: `center`, `fgsm`, `coordinate`, or `restarts` for a
+    /// cold search; `warm` then `coordinate` for a search seeded with an
+    /// incumbent. The end-to-end benchmark's trace report (`e2ebench`)
+    /// counts `warm` in `attack.busy_s` and `attack.evals` but has no
+    /// per-phase row for it: its four rows are the cold phases.
     pub phase: &'static str,
     /// Gradient/objective evaluations this phase contributed.
     pub evals: usize,
@@ -440,8 +391,11 @@ pub struct MinimizeTrace {
 /// Multi-restart minimizer for the robustness objective (the `Minimize`
 /// call at line 2 of Algorithm 1).
 ///
-/// Runs PGD from the region center and from a number of random starting
-/// points (plus one FGSM-seeded run), keeping the best result.
+/// A cold search runs PGD from the region center and from a number of
+/// random starting points (plus one FGSM-seeded run and a coordinate
+/// sweep), keeping the best result. A search seeded with an incumbent
+/// (the best point of an enclosing region) runs PGD from the incumbent
+/// and the coordinate sweep only.
 #[derive(Debug, Clone)]
 pub struct Minimizer {
     /// PGD configuration shared by all restarts.
@@ -474,7 +428,8 @@ impl Minimizer {
         self
     }
 
-    /// Minimizes `F` over `region`, returning the best point found.
+    /// Minimizes `F` over `region` with a cold search, returning the best
+    /// point found.
     ///
     /// If the network evaluates to NaN on every visited point (poisoned
     /// parameters), the returned objective is `+∞` — a sentinel meaning
@@ -486,26 +441,54 @@ impl Minimizer {
     /// Panics if `region.dim() != net.input_dim()` or `target` is out of
     /// range.
     pub fn minimize(&self, net: &Network, region: &Bounds, target: usize) -> AttackResult {
-        self.minimize_impl(net, region, target, None)
+        self.minimize_from(net, region, target, None)
     }
 
-    /// [`Minimizer::minimize`], additionally returning per-phase timing
-    /// and evaluation counts.
+    /// Minimizes `F` over `region`, warm-started from `incumbent` when one
+    /// is given.
     ///
-    /// The untraced [`Minimizer::minimize`] path performs no clock reads;
-    /// use it when the statistics are not needed.
+    /// * `None` is the cold search of [`Minimizer::minimize`], bit for
+    ///   bit: center PGD, FGSM-seeded PGD, a coordinate sweep from the
+    ///   center, then the batched random restarts.
+    /// * `Some(x)` runs PGD from `x` clamped into `region` (the `warm`
+    ///   phase; a non-finite coordinate starts at the center instead),
+    ///   then the coordinate sweep from the center. It draws no random
+    ///   numbers.
+    ///
+    /// Either way the returned point lies inside `region`.
     ///
     /// # Panics
     ///
-    /// As [`Minimizer::minimize`].
+    /// As [`Minimizer::minimize`], and if the incumbent's length differs
+    /// from `region.dim()`.
+    pub fn minimize_from(
+        &self,
+        net: &Network,
+        region: &Bounds,
+        target: usize,
+        incumbent: Option<&[f64]>,
+    ) -> AttackResult {
+        self.minimize_impl(net, region, target, incumbent, None)
+    }
+
+    /// [`Minimizer::minimize_from`], additionally returning per-phase
+    /// timing and evaluation counts.
+    ///
+    /// The untraced path performs no clock reads; use it when the
+    /// statistics are not needed.
+    ///
+    /// # Panics
+    ///
+    /// As [`Minimizer::minimize_from`].
     pub fn minimize_traced(
         &self,
         net: &Network,
         region: &Bounds,
         target: usize,
+        incumbent: Option<&[f64]>,
     ) -> (AttackResult, MinimizeTrace) {
         let mut trace = MinimizeTrace::default();
-        let result = self.minimize_impl(net, region, target, Some(&mut trace));
+        let result = self.minimize_impl(net, region, target, incumbent, Some(&mut trace));
         (result, trace)
     }
 
@@ -516,6 +499,7 @@ impl Minimizer {
         net: &Network,
         region: &Bounds,
         target: usize,
+        incumbent: Option<&[f64]>,
         mut trace: Option<&mut MinimizeTrace>,
     ) -> AttackResult {
         use std::time::Instant;
@@ -539,20 +523,55 @@ impl Minimizer {
             }
         };
 
-        let mut rng = StdRng::seed_from_u64(self.seed);
         let center = region.center();
-        let mut best = pgd(net, region, target, &center, &self.config);
-        record(&mut trace, &mut phase_start, "center", best.evals, best.objective);
-        if best.objective <= 0.0 {
-            return best;
-        }
-
-        // FGSM-seeded run: jump to the steepest corner, then refine.
-        let corner = fgsm_step(net, region, target, &center);
-        let run = pgd(net, region, target, &corner, &self.config);
-        let before = best.evals;
-        best = merge(best, run);
-        record(&mut trace, &mut phase_start, "fgsm", best.evals - before, best.objective);
+        let mut best = match incumbent {
+            Some(x) => {
+                // Warm start: descend from the incumbent projected into
+                // this region.
+                assert_eq!(x.len(), region.dim(), "incumbent dimension mismatch");
+                let mut start: Vec<f64> = x
+                    .iter()
+                    .zip(&center)
+                    .map(|(v, c)| if v.is_finite() { *v } else { *c })
+                    .collect();
+                region.clamp(&mut start);
+                let best = pgd(net, region, target, &start, &self.config);
+                record(
+                    &mut trace,
+                    &mut phase_start,
+                    "warm",
+                    best.evals,
+                    best.objective,
+                );
+                best
+            }
+            None => {
+                let best = pgd(net, region, target, &center, &self.config);
+                record(
+                    &mut trace,
+                    &mut phase_start,
+                    "center",
+                    best.evals,
+                    best.objective,
+                );
+                if best.objective <= 0.0 {
+                    return best;
+                }
+                // FGSM-seeded run: jump to the steepest corner, then refine.
+                let corner = fgsm_step(net, region, target, &center);
+                let run = pgd(net, region, target, &corner, &self.config);
+                let before = best.evals;
+                let best = merge(best, run);
+                record(
+                    &mut trace,
+                    &mut phase_start,
+                    "fgsm",
+                    best.evals - before,
+                    best.objective,
+                );
+                best
+            }
+        };
         if best.objective <= 0.0 {
             return best;
         }
@@ -564,13 +583,14 @@ impl Minimizer {
         let before = best.evals;
         best = merge(best, run);
         record(&mut trace, &mut phase_start, "coordinate", best.evals - before, best.objective);
-        if best.objective <= 0.0 {
+        if best.objective <= 0.0 || incumbent.is_some() {
             return best;
         }
 
         // Random restarts run as one lockstep batch: a single blocked
         // forward/backward per descent iteration covers every restart.
         if self.restarts > 0 {
+            let mut rng = StdRng::seed_from_u64(self.seed);
             let mut starts = Matrix::zeros(0, region.dim());
             for _ in 0..self.restarts {
                 starts.push_row(&region.sample(&mut rng));
@@ -659,39 +679,6 @@ mod tests {
     }
 
     #[test]
-    fn momentum_pgd_finds_xor_violation() {
-        let net = samples::xor_network();
-        let region = Bounds::new(vec![0.0, 0.0], vec![1.0, 1.0]);
-        // Start near a violating corner basin.
-        let result = pgd_momentum(&net, &region, 1, &[0.8, 0.8], &PgdConfig::default(), 0.8);
-        assert!(result.objective <= 0.0, "objective {}", result.objective);
-        assert!(region.contains(&result.point));
-    }
-
-    #[test]
-    fn momentum_result_objective_is_consistent() {
-        let net = nn::train::random_mlp(3, &[8], 3, 2);
-        let region = Bounds::linf_ball(&[0.1, 0.0, -0.1], 0.4, None);
-        let result = pgd_momentum(
-            &net,
-            &region,
-            0,
-            &region.center(),
-            &PgdConfig::default(),
-            0.5,
-        );
-        assert_eq!(result.objective, net.objective(&result.point, 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "momentum")]
-    fn momentum_out_of_range_panics() {
-        let net = samples::xor_network();
-        let region = Bounds::new(vec![0.0, 0.0], vec![1.0, 1.0]);
-        pgd_momentum(&net, &region, 1, &[0.5, 0.5], &PgdConfig::default(), 1.5);
-    }
-
-    #[test]
     fn coordinate_descent_reaches_corner_violation() {
         let net = samples::xor_network();
         let region = Bounds::new(vec![0.0, 0.0], vec![1.0, 1.0]);
@@ -745,6 +732,82 @@ mod tests {
         );
         assert!(region.contains(&result.point));
         assert!(result.point.iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn poisoned_network_with_incumbent_reports_infinity_at_a_finite_point() {
+        let net = poisoned_network();
+        let region = Bounds::new(vec![0.0], vec![1.0]);
+        let result = Minimizer::new(1).minimize_from(&net, &region, 0, Some(&[0.75]));
+        assert!(
+            result.objective.is_infinite() && result.objective > 0.0,
+            "poisoned objective must surface as +inf, got {}",
+            result.objective
+        );
+        assert!(region.contains(&result.point));
+        assert!(result.point.iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn minimize_from_without_incumbent_is_the_cold_search_bit_for_bit() {
+        let xor = samples::xor_network();
+        let mlp = nn::train::random_mlp(4, &[10], 3, 17);
+        let cases = [
+            (&xor, Bounds::new(vec![0.1, 0.1], vec![0.9, 0.9]), 1),
+            (&xor, Bounds::new(vec![0.0, 0.0], vec![1.0, 1.0]), 1),
+            (
+                &mlp,
+                Bounds::linf_ball(&[0.2, -0.1, 0.0, 0.5], 0.3, None),
+                0,
+            ),
+        ];
+        for (net, region, target) in &cases {
+            let minimizer = Minimizer::new(7).with_restarts(4);
+            let cold = minimizer.minimize(net, region, *target);
+            let from = minimizer.minimize_from(net, region, *target, None);
+            let (traced, phases) = minimizer.minimize_traced(net, region, *target, None);
+            for other in [&from, &traced] {
+                assert_eq!(other.point, cold.point);
+                assert_eq!(other.objective.to_bits(), cold.objective.to_bits());
+                assert_eq!(other.evals, cold.evals);
+            }
+            assert_eq!(phases.phases[0].phase, "center");
+            let total: usize = phases.phases.iter().map(|p| p.evals).sum();
+            assert_eq!(total, cold.evals);
+        }
+    }
+
+    #[test]
+    fn incumbent_outside_the_region_is_clamped_and_the_result_stays_inside() {
+        let net = nn::train::random_mlp(4, &[10], 3, 17);
+        let region = Bounds::linf_ball(&[0.2, -0.1, 0.0, 0.5], 0.1, None);
+        // Far outside on every axis, one coordinate non-finite.
+        let incumbent = [5.0, -5.0, f64::NAN, 0.9];
+        let minimizer = Minimizer::new(3);
+        let (result, trace) = minimizer.minimize_traced(&net, &region, 0, Some(&incumbent));
+        assert!(region.contains(&result.point), "point {:?}", result.point);
+        assert_eq!(result.objective, net.objective(&result.point, 0));
+        let phases: Vec<&str> = trace.phases.iter().map(|p| p.phase).collect();
+        if result.objective > 0.0 {
+            assert_eq!(phases, ["warm", "coordinate"]);
+        } else {
+            assert_eq!(phases[0], "warm");
+        }
+        let untraced = minimizer.minimize_from(&net, &region, 0, Some(&incumbent));
+        assert_eq!(untraced.point, result.point);
+        assert_eq!(untraced.evals, result.evals);
+    }
+
+    #[test]
+    fn warm_search_starts_from_the_incumbent() {
+        let net = samples::xor_network();
+        let region = Bounds::new(vec![0.0, 0.0], vec![1.0, 1.0]);
+        // (1, 1) is a violating corner: a warm start there refutes at
+        // once, with the single evaluation of its starting point.
+        let result = Minimizer::new(0).minimize_from(&net, &region, 1, Some(&[1.0, 1.0]));
+        assert!(result.objective <= 0.0);
+        assert_eq!(result.point, vec![1.0, 1.0]);
+        assert_eq!(result.evals, 1);
     }
 
     #[test]

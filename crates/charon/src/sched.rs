@@ -28,7 +28,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
-use std::sync::{Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::{Duration, Instant};
 
 use domains::Bounds;
@@ -36,8 +36,18 @@ use parking_lot::Mutex;
 
 use crate::telemetry::Metrics;
 
-/// A region awaiting processing: bounds plus split depth.
-pub(crate) type Region = (Bounds, usize);
+/// A region awaiting processing.
+#[derive(Debug, Clone)]
+pub(crate) struct Region {
+    pub bounds: Bounds,
+    /// Split depth (0 for a property's root region).
+    pub depth: usize,
+    /// The parent's best attack point `x*`, shared by both children of a
+    /// split; the child's counterexample search warm-starts from it.
+    /// `None` for roots, resumed checkpoint regions and the children of
+    /// a coarse (interval-retry) split, which run the cold search.
+    pub incumbent: Option<Arc<[f64]>>,
+}
 
 /// Longest single park; bounds how stale a worker's view of the deadline
 /// and the external cancel flag can get while it has no work.
@@ -63,14 +73,18 @@ pub(crate) struct Scheduler {
 
 impl Scheduler {
     /// Builds a scheduler for `workers` workers seeded with `initial`
-    /// regions (distributed round-robin so workers start on disjoint
-    /// work).
-    pub(crate) fn new(workers: usize, initial: Vec<Region>) -> Self {
+    /// `(bounds, depth)` regions (distributed round-robin so workers start
+    /// on disjoint work). Initial regions carry no incumbent.
+    pub(crate) fn new(workers: usize, initial: Vec<(Bounds, usize)>) -> Self {
         let slots = workers.max(1);
         let mut deques: Vec<VecDeque<Region>> = (0..slots).map(|_| VecDeque::new()).collect();
         let count = initial.len();
-        for (i, region) in initial.into_iter().enumerate() {
-            deques[i % slots].push_back(region);
+        for (i, (bounds, depth)) in initial.into_iter().enumerate() {
+            deques[i % slots].push_back(Region {
+                bounds,
+                depth,
+                incumbent: None,
+            });
         }
         Scheduler {
             deques: deques.into_iter().map(Mutex::new).collect(),
@@ -201,14 +215,15 @@ impl Scheduler {
         }
     }
 
-    /// Consumes the scheduler, returning every region still queued (for
-    /// checkpointing a budget-limited run). Deque order is preserved
-    /// deque by deque, so a one-worker run checkpoints its stack bottom
-    /// first; checkpoint consumers treat pending sets as unordered.
-    pub(crate) fn into_pending(self) -> Vec<Region> {
+    /// Consumes the scheduler, returning every region still queued as
+    /// `(bounds, depth)` (for checkpointing a budget-limited run;
+    /// incumbents are dropped). Deque order is preserved deque by deque,
+    /// so a one-worker run checkpoints its stack bottom first; checkpoint
+    /// consumers treat pending sets as unordered.
+    pub(crate) fn into_pending(self) -> Vec<(Bounds, usize)> {
         let mut pending = Vec::new();
         for deque in self.deques {
-            pending.extend(deque.into_inner());
+            pending.extend(deque.into_inner().into_iter().map(|r| (r.bounds, r.depth)));
         }
         pending
     }
@@ -218,17 +233,26 @@ impl Scheduler {
 mod tests {
     use super::*;
 
-    fn region(tag: usize) -> Region {
+    fn root(tag: usize) -> (Bounds, usize) {
         (Bounds::new(vec![0.0], vec![tag as f64 + 1.0]), tag)
+    }
+
+    fn region(tag: usize) -> Region {
+        let (bounds, depth) = root(tag);
+        Region {
+            bounds,
+            depth,
+            incumbent: Some(Arc::from(vec![0.5])),
+        }
     }
 
     #[test]
     fn seeds_round_robin_and_drains_in_lifo_order_per_deque() {
-        let sched = Scheduler::new(2, vec![region(0), region(1)]);
+        let sched = Scheduler::new(2, vec![root(0), root(1)]);
         let mut m = Metrics::new();
         // Worker 0's own deque holds region 0; worker 1's holds region 1.
-        assert_eq!(sched.try_pop(0, &mut m).unwrap().1, 0);
-        assert_eq!(sched.try_pop(1, &mut m).unwrap().1, 1);
+        assert_eq!(sched.try_pop(0, &mut m).unwrap().depth, 0);
+        assert_eq!(sched.try_pop(1, &mut m).unwrap().depth, 1);
         assert!(sched.try_pop(0, &mut m).is_none());
         assert_eq!(m.steals, 0);
     }
@@ -245,18 +269,18 @@ mod tests {
         // Worker 1 steals ceil(4/2) = 2 oldest (11, 10), keeps the first,
         // deposits the second in its own deque.
         let got = sched.try_pop(1, &mut m).unwrap();
-        assert_eq!(got.1, 11);
+        assert_eq!(got.depth, 11);
         assert_eq!(m.steals, 1);
         assert_eq!(m.stolen_regions, 2);
-        assert_eq!(sched.try_pop(1, &mut m).unwrap().1, 10);
+        assert_eq!(sched.try_pop(1, &mut m).unwrap().depth, 10);
         // Worker 0 still owns its newest work, left child first.
-        assert_eq!(sched.try_pop(0, &mut m).unwrap().1, 12);
-        assert_eq!(sched.try_pop(0, &mut m).unwrap().1, 13);
+        assert_eq!(sched.try_pop(0, &mut m).unwrap().depth, 12);
+        assert_eq!(sched.try_pop(0, &mut m).unwrap().depth, 13);
     }
 
     #[test]
     fn tasks_counter_tracks_split_and_complete() {
-        let sched = Scheduler::new(1, vec![region(0)]);
+        let sched = Scheduler::new(1, vec![root(0)]);
         let mut m = Metrics::new();
         let parent = sched.try_pop(0, &mut m).unwrap();
         assert!(!sched.drained());
@@ -273,9 +297,14 @@ mod tests {
 
     #[test]
     fn requeue_preserves_task_count_and_checkpoint_contents() {
-        let sched = Scheduler::new(2, vec![region(0), region(1)]);
+        let sched = Scheduler::new(2, vec![root(0), root(1)]);
         let mut m = Metrics::new();
-        let popped = sched.try_pop(0, &mut m).unwrap();
+        let mut popped = sched.try_pop(0, &mut m).unwrap();
+        assert!(
+            popped.incumbent.is_none(),
+            "initial regions carry no incumbent"
+        );
+        popped.incumbent = Some(Arc::from(vec![0.5]));
         sched.requeue(0, popped);
         assert!(!sched.drained());
         let mut pending: Vec<usize> = sched.into_pending().into_iter().map(|(_, d)| d).collect();
@@ -287,7 +316,7 @@ mod tests {
     fn park_aborts_immediately_when_work_is_queued_or_drained() {
         let mut m = Metrics::new();
         // Queued work: park must return without waiting or counting.
-        let busy = Scheduler::new(1, vec![region(0)]);
+        let busy = Scheduler::new(1, vec![root(0)]);
         busy.park(Duration::from_secs(5), &mut m, || false);
         assert_eq!(m.parks, 0);
         // Drained: same.
@@ -298,7 +327,7 @@ mod tests {
 
     #[test]
     fn park_times_out_within_the_slice() {
-        let sched = Scheduler::new(2, vec![region(0)]);
+        let sched = Scheduler::new(2, vec![root(0)]);
         let mut m = Metrics::new();
         let _held = sched.try_pop(0, &mut m).unwrap(); // in flight, nothing queued
         let start = Instant::now();
@@ -310,8 +339,7 @@ mod tests {
 
     #[test]
     fn pusher_wakes_a_parked_worker() {
-        use std::sync::Arc;
-        let sched = Arc::new(Scheduler::new(2, vec![region(0)]));
+        let sched = Arc::new(Scheduler::new(2, vec![root(0)]));
         let mut m = Metrics::new();
         let parent = sched.try_pop(0, &mut m).unwrap();
         let thief = {
@@ -322,7 +350,7 @@ mod tests {
                 while sched.queued.load(SeqCst) == 0 {
                     sched.park(Duration::from_secs(1), &mut m, || false);
                 }
-                sched.try_pop(1, &mut m).map(|(_, d)| d)
+                sched.try_pop(1, &mut m).map(|r| r.depth)
             })
         };
         std::thread::sleep(Duration::from_millis(20));

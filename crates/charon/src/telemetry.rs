@@ -86,12 +86,17 @@ pub enum TraceEvent {
         /// selection has no per-layer instrumentation).
         layer_seconds: Vec<f64>,
     },
-    /// One attack phase (center PGD, FGSM-seeded PGD, coordinate descent,
-    /// or the batched random-restart PGD) finished.
+    /// One attack phase finished: center PGD, FGSM-seeded PGD, coordinate
+    /// descent or the batched random-restart PGD on a region without an
+    /// incumbent; warm PGD from the parent's `x*`, then coordinate
+    /// descent, on a split child.
     Attack {
         /// Ordinal of the region attacked.
         ordinal: usize,
-        /// Phase name: `center`, `fgsm`, `coordinate`, or `restarts`.
+        /// Phase name: `center`, `fgsm`, `coordinate`, `restarts`, or
+        /// `warm`. The end-to-end benchmark's trace report (`e2ebench`)
+        /// counts `warm` in `attack.busy_s` and `attack.evals` but has no
+        /// per-phase row for it: its four rows are the cold phases.
         phase: String,
         /// Gradient/objective evaluations spent in this phase.
         evals: usize,

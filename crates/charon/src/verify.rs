@@ -90,7 +90,9 @@ pub struct VerifierConfig {
     /// Maximum number of regions processed (safety cap, counts towards
     /// `ResourceLimit`).
     pub max_regions: usize,
-    /// Random restarts for each counterexample search.
+    /// Random restarts for the counterexample search of a region without
+    /// a parent. Split children warm-start from the parent's `x*` and run
+    /// no restarts.
     pub restarts: usize,
     /// Base RNG seed (kept fixed for reproducibility).
     pub seed: u64,
@@ -484,7 +486,7 @@ impl Verifier {
         &self,
         net: &Network,
         target: usize,
-        initial: Vec<Region>,
+        initial: Vec<(Bounds, usize)>,
         cert_root: Option<Bounds>,
         ws: &mut Workspace,
         threads: usize,
@@ -712,7 +714,7 @@ fn worker_loop(
 ) {
     let config = env.config;
     while !state.stop.load(Ordering::Acquire) {
-        let Some((region, depth)) = state.sched.try_pop(id, &mut stats.metrics) else {
+        let Some(region) = state.sched.try_pop(id, &mut stats.metrics) else {
             // Every deque is empty: finished if nothing is in flight,
             // otherwise park until an in-flight region splits (the
             // scheduler wakes us) or a park slice elapses (so deadlines
@@ -743,18 +745,20 @@ fn worker_loop(
         {
             // Re-queue without completing: the region stays in the task
             // count and lands in the checkpoint.
-            state.sched.requeue(id, (region, depth));
+            state.sched.requeue(id, region);
             state.record_and_stop(Verdict::ResourceLimit, Some(kind));
             return;
         }
+        let depth = region.depth;
         emit(env.trace, || TraceEvent::RegionPopped { ordinal, depth });
         stats.regions += 1;
         stats.max_depth = stats.max_depth.max(depth);
-        match guarded_region_step(env, &region, ordinal, stats, ws) {
+        let incumbent = region.incumbent.as_deref();
+        match guarded_region_step(env, &region.bounds, incumbent, ordinal, stats, ws) {
             Ok(RegionOutcome::Verified { domain, margin }) => {
                 stats.verified_regions += 1;
                 if let Some(rec) = records {
-                    rec.leaf(&region, domain, margin);
+                    rec.leaf(&region.bounds, domain, margin);
                 }
                 state.sched.complete_one();
             }
@@ -767,24 +771,29 @@ fn worker_loop(
                 right,
                 dim,
                 at,
+                incumbent,
             }) => {
                 emit(env.trace, || TraceEvent::RegionPushed { depth: depth + 1 });
                 emit(env.trace, || TraceEvent::RegionPushed { depth: depth + 1 });
                 if let Some(rec) = records {
-                    rec.split(&region, dim, at);
+                    rec.split(&region.bounds, dim, at);
                 }
-                // Children enter the worklist before the parent completes,
-                // so the drained signal never dips mid-split.
-                state
-                    .sched
-                    .push_split(id, (left, depth + 1), (right, depth + 1));
+                // Both children inherit the parent's x*. They enter the
+                // worklist before the parent completes, so the drained
+                // signal never dips mid-split.
+                let child = |bounds| Region {
+                    bounds,
+                    depth: depth + 1,
+                    incumbent: incumbent.clone(),
+                };
+                state.sched.push_split(id, child(left), child(right));
                 state.sched.complete_one();
             }
             Ok(RegionOutcome::Unsplittable) => {
                 // Undecidable at f64 precision: an honest resource limit,
                 // never a fabricated refutation. Keep the region in the
                 // worklist so the checkpoint records it.
-                state.sched.requeue(id, (region, depth));
+                state.sched.requeue(id, region);
                 state.record_and_stop(Verdict::ResourceLimit, Some(BudgetKind::NumericPrecision));
             }
             Err(e) => {
@@ -946,12 +955,15 @@ pub(crate) enum RegionOutcome {
     /// A validated δ-counterexample was found inside the region.
     Refuted(Counterexample),
     /// Undecided; recurse on the two halves. `dim`/`at` describe the cut
-    /// (for certificate split records).
+    /// (for certificate split records); `incumbent` is the finite `x*` the
+    /// policy split on, which both children's attacks warm-start from
+    /// (`None` from the coarse retry, and with counterexample search off).
     Split {
         left: Bounds,
         right: Bounds,
         dim: usize,
         at: f64,
+        incumbent: Option<Arc<[f64]>>,
     },
     /// Undecided and numerically unsplittable: the driver must report
     /// [`Verdict::ResourceLimit`] (never a fabricated refutation).
@@ -976,12 +988,13 @@ enum StepResult {
 pub(crate) fn guarded_region_step(
     env: &StepEnv<'_>,
     region: &Bounds,
+    incumbent: Option<&[f64]>,
     ordinal: usize,
     stats: &mut VerifyStats,
     ws: &mut Workspace,
 ) -> Result<RegionOutcome, VerifyError> {
     let first = catch_unwind(AssertUnwindSafe(|| {
-        region_step(env, region, ordinal, stats, ws)
+        region_step(env, region, incumbent, ordinal, stats, ws)
     }));
     match first {
         Ok(StepResult::Outcome(outcome)) => Ok(outcome),
@@ -1001,10 +1014,12 @@ pub(crate) fn guarded_region_step(
 }
 
 /// One full-precision region step (Algorithm 1 lines 2-12). May panic;
-/// always called through [`guarded_region_step`].
+/// always called through [`guarded_region_step`]. `incumbent` is the
+/// parent's `x*` for a split child; the attack warm-starts from it.
 fn region_step(
     env: &StepEnv<'_>,
     region: &Bounds,
+    incumbent: Option<&[f64]>,
     ordinal: usize,
     stats: &mut VerifyStats,
     ws: &mut Workspace,
@@ -1030,14 +1045,17 @@ fn region_step(
         }
     }
 
-    // Line 2: x* <- Minimize(I, F).
+    // Line 2: x* <- Minimize(I, F), warm-started from the parent's x* on
+    // a split child.
     let (mut x_star, mut objective) = if config.counterexample_search {
         stats.attacks += 1;
         let attack_start = Instant::now();
         let result = if env.trace.enabled() {
             // Traced path: per-phase events carry evals, best objective,
             // and wall time for each attack stage.
-            let (result, phases) = env.minimizer.minimize_traced(net, region, target);
+            let (result, phases) = env
+                .minimizer
+                .minimize_traced(net, region, target, incumbent);
             for p in &phases.phases {
                 env.trace.record(&TraceEvent::Attack {
                     ordinal,
@@ -1049,7 +1067,7 @@ fn region_step(
             }
             result
         } else {
-            env.minimizer.minimize(net, region, target)
+            env.minimizer.minimize_from(net, region, target, incumbent)
         };
         stats
             .metrics
@@ -1245,6 +1263,8 @@ fn region_step(
         right: b,
         dim,
         at,
+        // After the numeric guard above, x* is finite.
+        incumbent: config.counterexample_search.then(|| Arc::from(x_star)),
     })
 }
 
@@ -1336,6 +1356,7 @@ fn coarse_region_step(
                     right: b,
                     dim,
                     at: mid,
+                    incumbent: None,
                 })
             } else {
                 StepResult::Outcome(RegionOutcome::Unsplittable)
@@ -1966,6 +1987,133 @@ mod tests {
         );
         assert_eq!(*state.found.lock(), Some((Verdict::Refuted(cex), None)));
         assert!(state.stop.load(Ordering::Acquire));
+    }
+
+    /// `(ordinal, depth)` per popped region and `(ordinal, phase)` per
+    /// attack phase.
+    #[derive(Default)]
+    struct PhaseLog {
+        pops: Vec<(usize, usize)>,
+        phases: Vec<(usize, String)>,
+    }
+
+    #[derive(Default)]
+    struct PhaseSink(std::sync::Mutex<PhaseLog>);
+
+    impl TraceSink for PhaseSink {
+        fn enabled(&self) -> bool {
+            true
+        }
+
+        fn record(&self, event: &TraceEvent) {
+            let mut log = self.0.lock().unwrap();
+            match event {
+                TraceEvent::RegionPopped { ordinal, depth } => log.pops.push((*ordinal, *depth)),
+                TraceEvent::Attack { ordinal, phase, .. } => {
+                    log.phases.push((*ordinal, phase.clone()))
+                }
+                _ => {}
+            }
+        }
+    }
+
+    impl PhaseSink {
+        /// Checks that every popped region ran either the cold search or
+        /// the warm one, and returns the `(ordinal, depth)` of the regions
+        /// that ran the cold search.
+        fn cold_regions(&self) -> Vec<(usize, usize)> {
+            let PhaseLog { pops, phases } = &*self.0.lock().unwrap();
+            assert!(!pops.is_empty());
+            let mut cold = Vec::new();
+            for &(ordinal, depth) in pops {
+                let ran: Vec<&str> = phases
+                    .iter()
+                    .filter(|(o, _)| *o == ordinal)
+                    .map(|(_, p)| p.as_str())
+                    .collect();
+                if ran == ["center", "fgsm", "coordinate", "restarts"] {
+                    cold.push((ordinal, depth));
+                } else {
+                    assert_eq!(
+                        ran,
+                        ["warm", "coordinate"],
+                        "region {ordinal} at depth {depth}"
+                    );
+                }
+            }
+            cold
+        }
+    }
+
+    #[test]
+    fn roots_run_the_cold_search_and_split_children_warm_start() {
+        // Interval-only policy: the robust XOR property needs several
+        // splits, and no region refutes, so every phase runs to the end.
+        let net = samples::xor_network();
+        let prop = property(vec![0.3, 0.3], vec![0.7, 0.7], 1);
+        let verifier = Verifier::with_policy(Arc::new(FixedPolicy::new(DomainChoice::interval())));
+        let sink = Arc::new(PhaseSink::default());
+        let run = verifier
+            .clone()
+            .with_trace(Arc::clone(&sink) as SharedSink)
+            .try_verify_run(&net, &prop)
+            .unwrap();
+        assert_eq!(run.verdict, Verdict::Verified);
+        assert!(run.stats.splits > 0, "need a split tree");
+        assert_eq!(sink.cold_regions(), vec![(0, 0)]);
+
+        // A checkpoint keeps no incumbents: each resumed region runs the
+        // cold search once, deep as it is, and its children warm-start.
+        let mut limited = verifier.clone();
+        limited.config_mut().max_regions = 2;
+        let ckpt = limited
+            .try_verify_run(&net, &prop)
+            .unwrap()
+            .checkpoint
+            .unwrap();
+        assert!(ckpt.pending.iter().all(|(_, depth)| *depth > 0));
+        let sink = Arc::new(PhaseSink::default());
+        let resumed = verifier
+            .with_trace(Arc::clone(&sink) as SharedSink)
+            .resume(&net, &ckpt)
+            .unwrap();
+        assert_eq!(resumed.verdict, Verdict::Verified);
+        assert!(resumed.stats.splits > 0, "need warm children after resume");
+        assert_eq!(sink.cold_regions().len(), ckpt.pending.len());
+    }
+
+    #[test]
+    fn poisoned_parent_attack_hands_its_children_a_finite_incumbent() {
+        let net = samples::xor_network();
+        let region = Bounds::new(vec![0.3, 0.3], vec![0.7, 0.7]);
+        let config = VerifierConfig {
+            faults: Some(Arc::new(FaultPlan::new().inject(FaultSite::AttackNan, 0))),
+            ..VerifierConfig::default()
+        };
+        let minimizer = Minimizer::new(0).with_restarts(config.restarts);
+        let policy = FixedPolicy::new(DomainChoice::interval());
+        let env = StepEnv {
+            net: &net,
+            target: 1,
+            minimizer: &minimizer,
+            policy: &policy,
+            config: &config,
+            deadline: Instant::now() + Duration::from_secs(60),
+            objective_lipschitz: f64::INFINITY,
+            trace: &crate::telemetry::NullSink,
+        };
+        let mut stats = VerifyStats::default();
+        let outcome =
+            guarded_region_step(&env, &region, None, 0, &mut stats, &mut Workspace::new());
+        match outcome {
+            Ok(RegionOutcome::Split {
+                incumbent: Some(x), ..
+            }) => {
+                // The numeric guard replaced the NaN x* with the center.
+                assert_eq!(&*x, region.center().as_slice());
+            }
+            other => panic!("expected a split with an incumbent, got {other:?}"),
+        }
     }
 
     #[test]

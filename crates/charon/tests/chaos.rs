@@ -172,6 +172,73 @@ fn poisoned_attack_cannot_fabricate_a_refutation() {
     }
 }
 
+/// Records the objective of every bisection and the number of warm-started
+/// attacks.
+#[derive(Default)]
+struct SplitSink(std::sync::Mutex<(Vec<(usize, f64)>, usize)>);
+
+impl TraceSink for SplitSink {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn record(&self, event: &TraceEvent) {
+        let mut log = self.0.lock().unwrap();
+        match event {
+            TraceEvent::Bisection {
+                ordinal, objective, ..
+            } => log.0.push((*ordinal, *objective)),
+            TraceEvent::Attack { phase, .. } if phase == "warm" => log.1 += 1,
+            _ => {}
+        }
+    }
+}
+
+/// A poisoned attack on a region that then splits: the numeric guard
+/// hands both children a finite incumbent (the parent's center), the
+/// children warm-start from it, and the decisive verdict is the
+/// fault-free one, sequentially and on two workers.
+#[test]
+fn poisoned_parent_attack_gives_finite_children_and_the_same_verdict() {
+    quiet_injected_panics();
+    let policy = || Arc::new(FixedPolicy::new(DomainChoice::interval()));
+    for (name, net, prop) in cases() {
+        let baseline = Verifier::new(policy(), VerifierConfig::default()).verify(&net, &prop);
+        assert_ne!(
+            baseline,
+            Verdict::ResourceLimit,
+            "{name}: baseline undecided"
+        );
+        for threads in [1, 2] {
+            let sink = Arc::new(SplitSink::default());
+            let config = VerifierConfig {
+                faults: Some(Arc::new(FaultPlan::new().inject(FaultSite::AttackNan, 0))),
+                ..VerifierConfig::default()
+            };
+            let run = ParallelVerifier::new(policy(), config, threads)
+                .with_trace(Arc::clone(&sink) as _)
+                .try_verify_run(&net, &prop)
+                .expect("a poisoned attack degrades, never aborts");
+            assert!(
+                same_kind(&run.verdict, &baseline),
+                "{name}, {threads} threads: {:?} vs baseline {baseline:?}",
+                run.verdict
+            );
+            check_refutation(&net, &prop, &run.verdict);
+            let (splits, warm) = &*sink.0.lock().unwrap();
+            let root = splits.iter().find(|(ordinal, _)| *ordinal == 0);
+            let Some((_, objective)) = root else {
+                panic!("{name}, {threads} threads: the poisoned root did not split");
+            };
+            assert!(objective.is_finite(), "{name}: root split on {objective}");
+            assert!(
+                *warm >= 1,
+                "{name}, {threads} threads: no child warm-started"
+            );
+        }
+    }
+}
+
 /// A mid-run cancellation fault pauses the run with a checkpoint; resuming
 /// reaches the baseline verdict without revisiting verified regions.
 #[test]

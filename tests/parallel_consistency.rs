@@ -214,3 +214,61 @@ fn parallel_ordinals_are_unique_and_region_cap_is_exact() {
         assert_eq!(capped.stats.regions, cap, "{threads} threads overshot the cap");
     }
 }
+
+/// The paper's own workload: brightening properties on a trained zoo
+/// network (Fig. 6). On every property of the slice that the sequential
+/// verifier decides after splitting, a 2-thread run must reach the same
+/// decisive verdict. Split children warm-start their attack from the
+/// parent's `x*`, so this also checks that the warm search decides the
+/// same way whichever worker runs a region.
+#[test]
+fn zoo_brightening_slice_agrees_sequential_and_two_threads() {
+    use data::properties::brightening_suite;
+    use data::zoo::{build, ZooConfig, ZooNetwork};
+
+    let zoo = ZooConfig {
+        train_size: 200,
+        train: nn::train::TrainConfig {
+            epochs: 25,
+            ..nn::train::TrainConfig::default()
+        },
+        cache_dir: None,
+        ..ZooConfig::default()
+    };
+    let (net, _) = build(ZooNetwork::Mnist3x32, &zoo);
+    let eval = ZooNetwork::Mnist3x32.dataset(60, 101);
+    let suite = brightening_suite(&net, &eval, &[0.75, 0.6, 0.45], 15);
+    let budget = VerifierConfig {
+        max_regions: 60,
+        ..config()
+    };
+    let mut multi_region = 0;
+    for (i, b) in suite.iter().enumerate() {
+        let seq = Verifier::new(Arc::new(LinearPolicy::default()), budget.clone())
+            .try_verify_run(&net, &b.property)
+            .unwrap();
+        if seq.stats.regions == 1 || seq.verdict == Verdict::ResourceLimit {
+            continue;
+        }
+        multi_region += 1;
+        let par = ParallelVerifier::new(Arc::new(LinearPolicy::default()), budget.clone(), 2)
+            .try_verify_run(&net, &b.property)
+            .unwrap();
+        assert!(
+            par.verdict.is_verified() == seq.verdict.is_verified()
+                && par.verdict.is_refuted() == seq.verdict.is_refuted(),
+            "property {i}: sequential {:?} in {} regions, 2 threads {:?} in {}",
+            seq.verdict,
+            seq.stats.regions,
+            par.verdict,
+            par.stats.regions
+        );
+        if let Verdict::Refuted(cex) = &par.verdict {
+            assert!(b.property.region().contains(&cex.point));
+        }
+    }
+    assert!(
+        multi_region >= 2,
+        "the slice must hold decisive multi-region properties, found {multi_region}"
+    );
+}
