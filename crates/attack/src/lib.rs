@@ -24,11 +24,12 @@
 //!   incumbent plus one coordinate sweep, no FGSM run and no random
 //!   restarts. Without an incumbent it is [`Minimizer::minimize`] bit for
 //!   bit.
-//! * [`Minimizer::minimize_traced`] is the observability twin of
-//!   `minimize_from`: identical search, plus one [`PhaseStat`] per phase
-//!   (center probe, FGSM, coordinate descent, PGD restarts; or warm PGD
-//!   and coordinate descent) with evaluation counts, best objective, and
-//!   wall time. The untraced path reads no clocks.
+//! * Every [`Minimizer`] search measures itself: its result carries one
+//!   [`PhaseStat`] per phase that ran (center probe, FGSM, coordinate
+//!   descent, PGD restarts; or warm PGD and coordinate descent) with
+//!   evaluation counts, best objective, and wall time, held inline in
+//!   [`AttackResult::phases`] so recording them allocates nothing. The
+//!   cost is one clock read per phase.
 //!
 //! # Examples
 //!
@@ -80,6 +81,59 @@ pub struct AttackResult {
     pub objective: f64,
     /// Number of gradient evaluations performed.
     pub evals: usize,
+    /// The phases of a [`Minimizer`] search that ran, in execution order.
+    /// Empty for the single-run helpers ([`pgd`], [`pgd_batch`],
+    /// [`coordinate_descent`]).
+    pub phases: Phases,
+}
+
+/// Every phase name a [`Minimizer`] search can report, in a fixed order:
+/// `warm` (PGD from an incumbent), then the cold search's `center`,
+/// `fgsm`, `coordinate` and `restarts`. A cold search runs the last four
+/// in that order; a warm one runs `warm` then `coordinate`.
+pub const PHASES: [&str; 5] = ["warm", "center", "fgsm", "coordinate", "restarts"];
+
+/// Timing and outcome of one attack phase of a [`Minimizer`] search.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PhaseStat {
+    /// Phase name, one of [`PHASES`].
+    pub phase: &'static str,
+    /// Gradient/objective evaluations this phase contributed.
+    pub evals: usize,
+    /// Best objective over the whole minimization *after* this phase.
+    pub best_objective: f64,
+    /// Wall-clock seconds of this phase.
+    pub seconds: f64,
+}
+
+/// The phases one [`Minimizer`] search ran, in execution order.
+///
+/// Held inline (at most [`Phases::MAX`] entries), so recording them on
+/// every search allocates nothing. A search that early-exits on a found
+/// counterexample records only the phases that actually ran. Derefs to a
+/// slice of [`PhaseStat`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Phases {
+    stats: [PhaseStat; Phases::MAX],
+    len: usize,
+}
+
+impl Phases {
+    /// The most phases one search runs (the cold search's four).
+    pub const MAX: usize = 4;
+
+    fn push(&mut self, stat: PhaseStat) {
+        self.stats[self.len] = stat;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Phases {
+    type Target = [PhaseStat];
+
+    fn deref(&self) -> &[PhaseStat] {
+        &self.stats[..self.len]
+    }
 }
 
 /// Configuration for projected gradient descent.
@@ -160,6 +214,7 @@ pub fn pgd(
         point: best,
         objective: best_f,
         evals,
+        phases: Phases::default(),
     }
 }
 
@@ -228,6 +283,7 @@ pub fn coordinate_descent(
         point: x,
         objective: best_f,
         evals,
+        phases: Phases::default(),
     }
 }
 
@@ -334,6 +390,7 @@ pub fn pgd_batch(
         point: best.row(winner).to_vec(),
         objective: best_f[winner],
         evals,
+        phases: Phases::default(),
     }
 }
 
@@ -358,34 +415,6 @@ pub fn fgsm_step(net: &Network, region: &Bounds, target: usize, start: &[f64]) -
         .collect();
     region.clamp(&mut x);
     x
-}
-
-/// Timing and outcome of one attack phase inside
-/// [`Minimizer::minimize_traced`].
-#[derive(Debug, Clone)]
-pub struct PhaseStat {
-    /// Phase name: `center`, `fgsm`, `coordinate`, or `restarts` for a
-    /// cold search; `warm` then `coordinate` for a search seeded with an
-    /// incumbent. The end-to-end benchmark's trace report (`e2ebench`)
-    /// counts `warm` in `attack.busy_s` and `attack.evals` but has no
-    /// per-phase row for it: its four rows are the cold phases.
-    pub phase: &'static str,
-    /// Gradient/objective evaluations this phase contributed.
-    pub evals: usize,
-    /// Best objective over the whole minimization *after* this phase.
-    pub best_objective: f64,
-    /// Wall-clock seconds of this phase.
-    pub seconds: f64,
-}
-
-/// Per-phase statistics of one traced minimization run.
-///
-/// A minimization that early-exits on a found counterexample records
-/// only the phases that actually ran.
-#[derive(Debug, Clone, Default)]
-pub struct MinimizeTrace {
-    /// The phases that ran, in execution order.
-    pub phases: Vec<PhaseStat>,
 }
 
 /// Multi-restart minimizer for the robustness objective (the `Minimize`
@@ -455,7 +484,9 @@ impl Minimizer {
     ///   then the coordinate sweep from the center. It draws no random
     ///   numbers.
     ///
-    /// Either way the returned point lies inside `region`.
+    /// Either way the returned point lies inside `region`, and the
+    /// result's [`AttackResult::phases`] lists the phases that ran with
+    /// their evaluations, best objective and wall time.
     ///
     /// # Panics
     ///
@@ -468,59 +499,34 @@ impl Minimizer {
         target: usize,
         incumbent: Option<&[f64]>,
     ) -> AttackResult {
-        self.minimize_impl(net, region, target, incumbent, None)
+        let mut phases = Phases::default();
+        let mut result = self.search(net, region, target, incumbent, &mut phases);
+        result.phases = phases;
+        result
     }
 
-    /// [`Minimizer::minimize_from`], additionally returning per-phase
-    /// timing and evaluation counts.
-    ///
-    /// The untraced path performs no clock reads; use it when the
-    /// statistics are not needed.
-    ///
-    /// # Panics
-    ///
-    /// As [`Minimizer::minimize_from`].
-    pub fn minimize_traced(
+    /// The phase driver behind [`Minimizer::minimize_from`]: runs the
+    /// phases and records a [`PhaseStat`] for each one that ran.
+    fn search(
         &self,
         net: &Network,
         region: &Bounds,
         target: usize,
         incumbent: Option<&[f64]>,
-    ) -> (AttackResult, MinimizeTrace) {
-        let mut trace = MinimizeTrace::default();
-        let result = self.minimize_impl(net, region, target, incumbent, Some(&mut trace));
-        (result, trace)
-    }
-
-    /// Shared phase driver: `trace = None` is the production path (no
-    /// `Instant` reads), `Some` records a [`PhaseStat`] per phase run.
-    fn minimize_impl(
-        &self,
-        net: &Network,
-        region: &Bounds,
-        target: usize,
-        incumbent: Option<&[f64]>,
-        mut trace: Option<&mut MinimizeTrace>,
+        phases: &mut Phases,
     ) -> AttackResult {
-        use std::time::Instant;
-        let mut phase_start = trace.as_ref().map(|_| Instant::now());
-        // Appends one phase row and restarts the phase clock (tracing
-        // runs only; a no-op otherwise).
-        let record = |trace: &mut Option<&mut MinimizeTrace>,
-                      phase_start: &mut Option<Instant>,
-                      phase: &'static str,
-                      evals: usize,
-                      best_objective: f64| {
-            if let Some(t) = trace.as_deref_mut() {
-                let start = phase_start.expect("phase clock runs while tracing");
-                t.phases.push(PhaseStat {
-                    phase,
-                    evals,
-                    best_objective,
-                    seconds: start.elapsed().as_secs_f64(),
-                });
-                *phase_start = Some(Instant::now());
-            }
+        // One clock read per phase boundary: each phase's seconds run
+        // from the end of the previous one.
+        let mut clock = std::time::Instant::now();
+        let mut record = |phase: &'static str, evals: usize, best_objective: f64| {
+            let now = std::time::Instant::now();
+            phases.push(PhaseStat {
+                phase,
+                evals,
+                best_objective,
+                seconds: (now - clock).as_secs_f64(),
+            });
+            clock = now;
         };
 
         let center = region.center();
@@ -536,24 +542,12 @@ impl Minimizer {
                     .collect();
                 region.clamp(&mut start);
                 let best = pgd(net, region, target, &start, &self.config);
-                record(
-                    &mut trace,
-                    &mut phase_start,
-                    "warm",
-                    best.evals,
-                    best.objective,
-                );
+                record("warm", best.evals, best.objective);
                 best
             }
             None => {
                 let best = pgd(net, region, target, &center, &self.config);
-                record(
-                    &mut trace,
-                    &mut phase_start,
-                    "center",
-                    best.evals,
-                    best.objective,
-                );
+                record("center", best.evals, best.objective);
                 if best.objective <= 0.0 {
                     return best;
                 }
@@ -562,13 +556,7 @@ impl Minimizer {
                 let run = pgd(net, region, target, &corner, &self.config);
                 let before = best.evals;
                 let best = merge(best, run);
-                record(
-                    &mut trace,
-                    &mut phase_start,
-                    "fgsm",
-                    best.evals - before,
-                    best.objective,
-                );
+                record("fgsm", best.evals - before, best.objective);
                 best
             }
         };
@@ -582,7 +570,7 @@ impl Minimizer {
         let run = coordinate_descent(net, region, target, &center, 2);
         let before = best.evals;
         best = merge(best, run);
-        record(&mut trace, &mut phase_start, "coordinate", best.evals - before, best.objective);
+        record("coordinate", best.evals - before, best.objective);
         if best.objective <= 0.0 || incumbent.is_some() {
             return best;
         }
@@ -598,7 +586,7 @@ impl Minimizer {
             let run = pgd_batch(net, region, target, &starts, &self.config);
             let before = best.evals;
             best = merge(best, run);
-            record(&mut trace, &mut phase_start, "restarts", best.evals - before, best.objective);
+            record("restarts", best.evals - before, best.objective);
         }
         best
     }
@@ -765,14 +753,13 @@ mod tests {
             let minimizer = Minimizer::new(7).with_restarts(4);
             let cold = minimizer.minimize(net, region, *target);
             let from = minimizer.minimize_from(net, region, *target, None);
-            let (traced, phases) = minimizer.minimize_traced(net, region, *target, None);
-            for other in [&from, &traced] {
-                assert_eq!(other.point, cold.point);
-                assert_eq!(other.objective.to_bits(), cold.objective.to_bits());
-                assert_eq!(other.evals, cold.evals);
-            }
-            assert_eq!(phases.phases[0].phase, "center");
-            let total: usize = phases.phases.iter().map(|p| p.evals).sum();
+            assert_eq!(from.point, cold.point);
+            assert_eq!(from.objective.to_bits(), cold.objective.to_bits());
+            assert_eq!(from.evals, cold.evals);
+            let names = |r: &AttackResult| r.phases.iter().map(|p| p.phase).collect::<Vec<_>>();
+            assert_eq!(names(&from), names(&cold));
+            assert_eq!(from.phases[0].phase, "center");
+            let total: usize = from.phases.iter().map(|p| p.evals).sum();
             assert_eq!(total, cold.evals);
         }
     }
@@ -784,18 +771,18 @@ mod tests {
         // Far outside on every axis, one coordinate non-finite.
         let incumbent = [5.0, -5.0, f64::NAN, 0.9];
         let minimizer = Minimizer::new(3);
-        let (result, trace) = minimizer.minimize_traced(&net, &region, 0, Some(&incumbent));
+        let result = minimizer.minimize_from(&net, &region, 0, Some(&incumbent));
         assert!(region.contains(&result.point), "point {:?}", result.point);
         assert_eq!(result.objective, net.objective(&result.point, 0));
-        let phases: Vec<&str> = trace.phases.iter().map(|p| p.phase).collect();
+        let phases: Vec<&str> = result.phases.iter().map(|p| p.phase).collect();
         if result.objective > 0.0 {
             assert_eq!(phases, ["warm", "coordinate"]);
         } else {
             assert_eq!(phases[0], "warm");
         }
-        let untraced = minimizer.minimize_from(&net, &region, 0, Some(&incumbent));
-        assert_eq!(untraced.point, result.point);
-        assert_eq!(untraced.evals, result.evals);
+        let again = minimizer.minimize_from(&net, &region, 0, Some(&incumbent));
+        assert_eq!(again.point, result.point);
+        assert_eq!(again.evals, result.evals);
     }
 
     #[test]

@@ -15,27 +15,36 @@
 //!    machine-readable; the `charon-cli trace` subcommand reads it back),
 //!    or [`SummarySink`] (in-memory aggregation).
 //! 2. **Metrics** — always-on [`Metrics`] counters and per-phase wall
-//!    times (attack / propagation / policy), with histogram buckets for
-//!    per-call latencies. Parallel workers each keep their own `Metrics`;
-//!    the driver merges them at join, so the totals in
-//!    [`crate::VerifyRun`] cover every worker including ones that exited
-//!    on the degradation ladder.
+//!    times (attack / propagation / policy), broken down further by
+//!    attack phase and by layer kind, with histogram buckets for per-call
+//!    latencies. Parallel workers each keep their own `Metrics`; the
+//!    driver merges them at join, so the totals in [`crate::VerifyRun`]
+//!    cover every worker including ones that exited on the degradation
+//!    ladder.
+//!
+//! Measurement is always on and there is one measured code path: the
+//! attack and the propagation time themselves on every call, and the
+//! engine folds those times into [`Metrics`]. A sink only decides whether
+//! the same measurements are also built into [`TraceEvent`]s, so the sum
+//! of a traced run's `Attack` and `Propagation` event seconds matches its
+//! metrics rows.
 //! 3. **Reports** — a [`RunReport`] renders the merged metrics as a
 //!    per-phase time-breakdown table with regions-per-second and domain
 //!    precision statistics (printed by `charon-cli verify --report`).
 //!
 //! JSON is hand-rolled: the workspace deliberately has no serde_json (it
-//! builds offline without crates.io), so [`TraceEvent::to_json`]
-//! and [`TraceEvent::from_json`] build on the shared flat-object codec in
-//! [`crate::json`] (also used by the verification server's wire protocol)
-//! and round-trip the one schema this module needs exactly.
+//! builds offline without crates.io), so [`TraceEvent::to_json`],
+//! [`TraceEvent::from_json`] and [`Metrics::to_json`] build on the shared
+//! flat-object codec in [`crate::json`] (also used by the verification
+//! server's wire protocol) and round-trip the one schema this module
+//! needs exactly.
 
 use std::io::Write;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::json::{json_f64, json_str, parse_flat_object, ObjectBuilder};
+use crate::json::{parse_flat_object, ObjectBuilder};
 
 /// One structured event from the verification engine.
 ///
@@ -83,7 +92,8 @@ pub enum TraceEvent {
         /// Outcome: `proved`, `inconclusive`, `violated`, or `poisoned`.
         outcome: String,
         /// Per-layer wall-clock seconds, in layer order (empty when the
-        /// selection has no per-layer instrumentation).
+        /// selection has no per-layer instrumentation). The same numbers
+        /// feed the per-layer-kind rows of [`Metrics`].
         layer_seconds: Vec<f64>,
     },
     /// One attack phase finished: center PGD, FGSM-seeded PGD, coordinate
@@ -93,10 +103,9 @@ pub enum TraceEvent {
     Attack {
         /// Ordinal of the region attacked.
         ordinal: usize,
-        /// Phase name: `center`, `fgsm`, `coordinate`, `restarts`, or
-        /// `warm`. The end-to-end benchmark's trace report (`e2ebench`)
-        /// counts `warm` in `attack.busy_s` and `attack.evals` but has no
-        /// per-phase row for it: its four rows are the cold phases.
+        /// Phase name, one of [`attack::PHASES`]: `warm`, `center`,
+        /// `fgsm`, `coordinate` or `restarts`. Each phase has its own
+        /// [`Metrics::attack_phase_seconds`] row.
         phase: String,
         /// Gradient/objective evaluations spent in this phase.
         evals: usize,
@@ -147,85 +156,69 @@ impl TraceEvent {
     }
 
     /// Serializes the event as one flat JSON object (no trailing
-    /// newline).
+    /// newline). Counters serialize as JSON integers, not `0.0`-style
+    /// floats.
     pub fn to_json(&self) -> String {
-        let mut s = format!("{{\"event\": \"{}\"", self.kind());
-        let num = |s: &mut String, key: &str, v: f64| {
-            s.push_str(&format!(", \"{key}\": {}", json_f64(v)));
-        };
-        // Counters serialize as JSON integers, not `0.0`-style floats.
-        let int = |s: &mut String, key: &str, v: usize| {
-            s.push_str(&format!(", \"{key}\": {v}"));
-        };
+        let b = ObjectBuilder::new().str("event", self.kind());
+        let int = |v: &usize| *v as u64;
         match self {
-            TraceEvent::RegionPushed { depth } => {
-                int(&mut s, "depth", *depth);
-            }
+            TraceEvent::RegionPushed { depth } => b.int("depth", int(depth)),
             TraceEvent::RegionPopped { ordinal, depth } => {
-                int(&mut s, "ordinal", *ordinal);
-                int(&mut s, "depth", *depth);
+                b.int("ordinal", int(ordinal)).int("depth", int(depth))
             }
             TraceEvent::Bisection {
                 ordinal,
                 dim,
                 at,
                 objective,
-            } => {
-                int(&mut s, "ordinal", *ordinal);
-                int(&mut s, "dim", *dim);
-                num(&mut s, "at", *at);
-                num(&mut s, "objective", *objective);
-            }
+            } => b
+                .int("ordinal", int(ordinal))
+                .int("dim", int(dim))
+                .num("at", *at)
+                .num("objective", *objective),
             TraceEvent::Propagation {
                 ordinal,
                 domain,
                 seconds,
                 outcome,
                 layer_seconds,
-            } => {
-                int(&mut s, "ordinal", *ordinal);
-                s.push_str(&format!(", \"domain\": {}", json_str(domain)));
-                num(&mut s, "seconds", *seconds);
-                s.push_str(&format!(", \"outcome\": {}", json_str(outcome)));
-                let items: Vec<String> = layer_seconds.iter().map(|v| json_f64(*v)).collect();
-                s.push_str(&format!(", \"layer_seconds\": [{}]", items.join(", ")));
-            }
+            } => b
+                .int("ordinal", int(ordinal))
+                .str("domain", domain)
+                .num("seconds", *seconds)
+                .str("outcome", outcome)
+                .arr("layer_seconds", layer_seconds),
             TraceEvent::Attack {
                 ordinal,
                 phase,
                 evals,
                 best_objective,
                 seconds,
-            } => {
-                int(&mut s, "ordinal", *ordinal);
-                s.push_str(&format!(", \"phase\": {}", json_str(phase)));
-                int(&mut s, "evals", *evals);
-                num(&mut s, "best_objective", *best_objective);
-                num(&mut s, "seconds", *seconds);
-            }
+            } => b
+                .int("ordinal", int(ordinal))
+                .str("phase", phase)
+                .int("evals", int(evals))
+                .num("best_objective", *best_objective)
+                .num("seconds", *seconds),
             TraceEvent::Verdict {
                 verdict,
                 regions,
                 seconds,
-            } => {
-                s.push_str(&format!(", \"verdict\": {}", json_str(verdict)));
-                int(&mut s, "regions", *regions);
-                num(&mut s, "seconds", *seconds);
-            }
+            } => b
+                .str("verdict", verdict)
+                .int("regions", int(regions))
+                .num("seconds", *seconds),
             TraceEvent::CheckpointSaved {
                 pending,
                 regions_done,
-            } => {
-                int(&mut s, "pending", *pending);
-                int(&mut s, "regions_done", *regions_done);
-            }
+            } => b
+                .int("pending", int(pending))
+                .int("regions_done", int(regions_done)),
             TraceEvent::FaultTriggered { site, ordinal } => {
-                s.push_str(&format!(", \"site\": {}", json_str(site)));
-                int(&mut s, "ordinal", *ordinal);
+                b.str("site", site).int("ordinal", int(ordinal))
             }
         }
-        s.push('}');
-        s
+        .build()
     }
 
     /// Parses one flat JSON object produced by [`TraceEvent::to_json`].
@@ -688,7 +681,20 @@ pub struct Metrics {
     /// Per-node shard accounting (coordinator-tier runs only; empty for
     /// single-process runs).
     pub nodes: Vec<NodeRow>,
+    /// Wall-clock seconds per attack phase, indexed like
+    /// [`attack::PHASES`]: warm, center, fgsm, coordinate, restarts.
+    /// Together they cover `attack_seconds` less the call overhead.
+    pub attack_phase_seconds: [f64; 5],
+    /// Per-layer propagation seconds folded by layer kind, indexed like
+    /// [`LAYER_KINDS`]: affine, relu, maxpool. Selections without
+    /// per-layer instrumentation (DeepPoly, the LP-refined zonotope, the
+    /// complete solver) count in `propagation_seconds` only.
+    pub layer_kind_seconds: [f64; 3],
 }
+
+/// Names of the layer kinds of [`Metrics::layer_kind_seconds`], in index
+/// order.
+pub const LAYER_KINDS: [&str; 3] = ["affine", "relu", "maxpool"];
 
 impl Metrics {
     /// Creates zeroed metrics.
@@ -715,6 +721,20 @@ impl Metrics {
         for row in &other.nodes {
             self.merge_node_row(row);
         }
+        for (a, b) in self
+            .attack_phase_seconds
+            .iter_mut()
+            .zip(&other.attack_phase_seconds)
+        {
+            *a += b;
+        }
+        for (a, b) in self
+            .layer_kind_seconds
+            .iter_mut()
+            .zip(&other.layer_kind_seconds)
+        {
+            *a += b;
+        }
     }
 
     /// Folds one per-node row in, summing into an existing row with the
@@ -731,11 +751,16 @@ impl Metrics {
         }
     }
 
-    /// Records one attack call.
-    pub fn record_attack(&mut self, seconds: f64) {
+    /// Records one attack call of `seconds` and the phases it ran.
+    pub fn record_attack(&mut self, seconds: f64, phases: &[attack::PhaseStat]) {
         self.attack_calls += 1;
         self.attack_seconds += seconds;
         self.attack_hist.observe(seconds);
+        for p in phases {
+            if let Some(i) = attack::PHASES.iter().position(|name| *name == p.phase) {
+                self.attack_phase_seconds[i] += p.seconds;
+            }
+        }
     }
 
     /// Records one propagation call and whether it proved its region.
@@ -745,6 +770,19 @@ impl Metrics {
         self.propagation_hist.observe(seconds);
         if proved {
             self.propagation_proved += 1;
+        }
+    }
+
+    /// Folds one propagation's per-layer seconds (in layer order, as in
+    /// [`domains::Workspace::layer_seconds`]) into the per-kind rows.
+    pub fn record_layers(&mut self, layers: &[nn::Layer], seconds: &[f64]) {
+        for (layer, s) in layers.iter().zip(seconds) {
+            let kind = match layer {
+                nn::Layer::Affine(_) => 0,
+                nn::Layer::Relu => 1,
+                nn::Layer::MaxPool(_) => 2,
+            };
+            self.layer_kind_seconds[kind] += s;
         }
     }
 
@@ -770,66 +808,41 @@ impl Metrics {
     /// Serializes the metrics as one flat JSON object (hand-rolled; the
     /// workspace has no serde_json). Used by the bench binaries to embed
     /// phase attribution in their BENCH files.
+    ///
+    /// Per-phase attack seconds travel as `attack_<phase>_seconds` and
+    /// per-kind layer seconds as `propagation_<kind>_seconds`. The flat
+    /// codec has no nested objects, so per-node rows travel as a joined
+    /// name string plus parallel numeric arrays, index-aligned.
     pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"attack_calls\": {}, \"attack_seconds\": {}, \
-             \"propagation_calls\": {}, \"propagation_seconds\": {}, \
-             \"policy_calls\": {}, \"policy_seconds\": {}, \
-             \"propagation_proved\": {}, \"steals\": {}, \
-             \"stolen_regions\": {}, \"parks\": {}, \"idle_seconds\": {}",
-            self.attack_calls,
-            json_f64(self.attack_seconds),
-            self.propagation_calls,
-            json_f64(self.propagation_seconds),
-            self.policy_calls,
-            json_f64(self.policy_seconds),
-            self.propagation_proved,
-            self.steals,
-            self.stolen_regions,
-            self.parks,
-            json_f64(self.idle_seconds),
-        );
-        if !self.nodes.is_empty() {
-            // The flat codec has no nested objects, so per-node rows
-            // travel as a joined name string plus parallel numeric
-            // arrays, index-aligned.
-            let names: Vec<&str> = self.nodes.iter().map(|n| n.name.as_str()).collect();
-            s.push_str(&format!(
-                ", \"node_names\": {}",
-                json_str(&names.join(","))
-            ));
-            let arr = |s: &mut String, key: &str, vals: Vec<String>| {
-                s.push_str(&format!(", \"{key}\": [{}]", vals.join(", ")));
-            };
-            arr(
-                &mut s,
-                "node_dispatched",
-                self.nodes.iter().map(|n| n.dispatched.to_string()).collect(),
-            );
-            arr(
-                &mut s,
-                "node_completed",
-                self.nodes.iter().map(|n| n.completed.to_string()).collect(),
-            );
-            arr(
-                &mut s,
-                "node_redispatched",
-                self.nodes
-                    .iter()
-                    .map(|n| n.redispatched.to_string())
-                    .collect(),
-            );
-            arr(
-                &mut s,
-                "node_idle_seconds",
-                self.nodes
-                    .iter()
-                    .map(|n| json_f64(n.idle_seconds))
-                    .collect(),
-            );
+        let mut b = ObjectBuilder::new()
+            .int("attack_calls", self.attack_calls)
+            .num("attack_seconds", self.attack_seconds)
+            .int("propagation_calls", self.propagation_calls)
+            .num("propagation_seconds", self.propagation_seconds)
+            .int("policy_calls", self.policy_calls)
+            .num("policy_seconds", self.policy_seconds)
+            .int("propagation_proved", self.propagation_proved)
+            .int("steals", self.steals)
+            .int("stolen_regions", self.stolen_regions)
+            .int("parks", self.parks)
+            .num("idle_seconds", self.idle_seconds);
+        for (phase, seconds) in attack::PHASES.iter().zip(self.attack_phase_seconds) {
+            b = b.num(&format!("attack_{phase}_seconds"), seconds);
         }
-        s.push('}');
-        s
+        for (kind, seconds) in LAYER_KINDS.iter().zip(self.layer_kind_seconds) {
+            b = b.num(&format!("propagation_{kind}_seconds"), seconds);
+        }
+        if !self.nodes.is_empty() {
+            let names: Vec<&str> = self.nodes.iter().map(|n| n.name.as_str()).collect();
+            let column = |f: fn(&NodeRow) -> f64| self.nodes.iter().map(f).collect::<Vec<f64>>();
+            b = b
+                .str("node_names", &names.join(","))
+                .arr("node_dispatched", &column(|n| n.dispatched as f64))
+                .arr("node_completed", &column(|n| n.completed as f64))
+                .arr("node_redispatched", &column(|n| n.redispatched as f64))
+                .arr("node_idle_seconds", &column(|n| n.idle_seconds));
+        }
+        b.build()
     }
 }
 
@@ -888,7 +901,8 @@ impl RunReport {
         let accounted = m.attack_seconds + m.propagation_seconds + m.policy_seconds;
         let other = (self.elapsed_seconds - accounted).max(0.0);
         out.push_str("  phase          calls      seconds   share\n");
-        let mut row = |name: &str, calls: u64, seconds: f64| {
+        // Indented rows break a phase down by attack phase or layer kind.
+        let mut row = |name: &str, calls: &str, seconds: f64| {
             let share = if self.elapsed_seconds > 0.0 {
                 100.0 * seconds / self.elapsed_seconds
             } else {
@@ -898,10 +912,20 @@ impl RunReport {
                 "  {name:<12} {calls:>7} {seconds:>12.6} {share:>6.1}%\n"
             ));
         };
-        row("attack", m.attack_calls, m.attack_seconds);
-        row("propagation", m.propagation_calls, m.propagation_seconds);
-        row("policy", m.policy_calls, m.policy_seconds);
-        row("other", 0, other);
+        row("attack", &m.attack_calls.to_string(), m.attack_seconds);
+        for (phase, seconds) in attack::PHASES.iter().zip(m.attack_phase_seconds) {
+            row(&format!("  {phase}"), "", seconds);
+        }
+        row(
+            "propagation",
+            &m.propagation_calls.to_string(),
+            m.propagation_seconds,
+        );
+        for (kind, seconds) in LAYER_KINDS.iter().zip(m.layer_kind_seconds) {
+            row(&format!("  {kind}"), "", seconds);
+        }
+        row("policy", &m.policy_calls.to_string(), m.policy_seconds);
+        row("other", "0", other);
 
         if m.attack_seconds + m.propagation_seconds > 0.0 {
             out.push_str(&format!(
@@ -1026,6 +1050,80 @@ mod tests {
             let parsed = TraceEvent::from_json(&json)
                 .unwrap_or_else(|e| panic!("parse failed for {json}: {e}"));
             assert_eq!(parsed, event, "round-trip mismatch for {json}");
+        }
+    }
+
+    #[test]
+    fn event_json_bytes_are_pinned() {
+        // One event of each kind and its exact bytes: trace readers
+        // (`charon-cli trace`, the e2ebench span sink) parse this JSONL
+        // schema, so the encoding must not drift.
+        let pinned = [
+            (
+                TraceEvent::RegionPushed { depth: 1 },
+                r#"{"event": "region_pushed", "depth": 1}"#,
+            ),
+            (
+                TraceEvent::RegionPopped {
+                    ordinal: 0,
+                    depth: 1,
+                },
+                r#"{"event": "region_popped", "ordinal": 0, "depth": 1}"#,
+            ),
+            (
+                TraceEvent::Bisection {
+                    ordinal: 0,
+                    dim: 3,
+                    at: 0.125,
+                    objective: f64::NEG_INFINITY,
+                },
+                r#"{"event": "bisection", "ordinal": 0, "dim": 3, "at": 0.125, "objective": "-inf"}"#,
+            ),
+            (
+                TraceEvent::Propagation {
+                    ordinal: 0,
+                    domain: "(Z, 2)".to_string(),
+                    seconds: 0.25,
+                    outcome: "proved".to_string(),
+                    layer_seconds: vec![0.125, 1e-7, f64::NAN],
+                },
+                r#"{"event": "propagation", "ordinal": 0, "domain": "(Z, 2)", "seconds": 0.25, "outcome": "proved", "layer_seconds": [0.125, 1e-7, "nan"]}"#,
+            ),
+            (
+                TraceEvent::Attack {
+                    ordinal: 12,
+                    phase: "warm".to_string(),
+                    evals: 42,
+                    best_objective: -0.75,
+                    seconds: 3e-5,
+                },
+                r#"{"event": "attack", "ordinal": 12, "phase": "warm", "evals": 42, "best_objective": -0.75, "seconds": 3e-5}"#,
+            ),
+            (
+                TraceEvent::Verdict {
+                    verdict: "refuted".to_string(),
+                    regions: 2,
+                    seconds: 1.5,
+                },
+                r#"{"event": "verdict", "verdict": "refuted", "regions": 2, "seconds": 1.5}"#,
+            ),
+            (
+                TraceEvent::CheckpointSaved {
+                    pending: 4,
+                    regions_done: 9,
+                },
+                r#"{"event": "checkpoint_saved", "pending": 4, "regions_done": 9}"#,
+            ),
+            (
+                TraceEvent::FaultTriggered {
+                    site: "worker_\"panic\"".to_string(),
+                    ordinal: 3,
+                },
+                r#"{"event": "fault_triggered", "site": "worker_\"panic\"", "ordinal": 3}"#,
+            ),
+        ];
+        for (event, json) in pinned {
+            assert_eq!(event.to_json(), json);
         }
     }
 
@@ -1207,11 +1305,11 @@ mod tests {
     #[test]
     fn metrics_merge_sums_counters_and_histograms() {
         let mut a = Metrics::new();
-        a.record_attack(0.25);
+        a.record_attack(0.25, &[]);
         a.record_propagation(0.5, true);
         a.record_policy(0.125);
         let mut b = Metrics::new();
-        b.record_attack(0.75);
+        b.record_attack(0.75, &[]);
         b.record_propagation(0.25, false);
         a.merge(&b);
         assert_eq!(a.attack_calls, 2);
@@ -1227,13 +1325,65 @@ mod tests {
     #[test]
     fn metrics_json_is_flat_and_parseable() {
         let mut m = Metrics::new();
-        m.record_attack(0.5);
+        m.record_attack(0.5, &[]);
         m.record_propagation(0.25, true);
         let json = m.to_json();
         let fields = parse_flat_object(&json).expect("metrics JSON parses");
         assert_eq!(fields.f64_field("attack_seconds").unwrap(), 0.5);
         assert_eq!(fields.usize_field("propagation_calls").unwrap(), 1);
         assert_eq!(fields.usize_field("propagation_proved").unwrap(), 1);
+    }
+
+    #[test]
+    fn attack_phase_and_layer_kind_rows_merge_serialize_and_render() {
+        let stat = |phase, seconds| attack::PhaseStat {
+            phase,
+            evals: 1,
+            best_objective: 1.0,
+            seconds,
+        };
+        // XOR's layers: affine, relu, affine.
+        let net = nn::samples::xor_network();
+        let mut a = Metrics::new();
+        a.record_attack(0.5, &[stat("warm", 0.25), stat("coordinate", 0.125)]);
+        a.record_layers(net.layers(), &[0.5, 0.25, 0.125]);
+        let mut b = Metrics::new();
+        b.record_attack(1.0, &[stat("center", 0.5), stat("warm", 0.25)]);
+        // A propagation that stopped after its first layer.
+        b.record_layers(net.layers(), &[0.25]);
+        a.merge(&b);
+        assert_eq!(a.attack_phase_seconds, [0.5, 0.5, 0.0, 0.125, 0.0]);
+        assert_eq!(a.layer_kind_seconds, [0.875, 0.25, 0.0]);
+
+        let fields = parse_flat_object(&a.to_json()).expect("metrics JSON parses");
+        assert_eq!(fields.f64_field("attack_warm_seconds").unwrap(), 0.5);
+        assert_eq!(fields.f64_field("attack_restarts_seconds").unwrap(), 0.0);
+        assert_eq!(
+            fields.f64_field("propagation_affine_seconds").unwrap(),
+            0.875
+        );
+        assert_eq!(
+            fields.f64_field("propagation_maxpool_seconds").unwrap(),
+            0.0
+        );
+
+        let run = crate::VerifyRun {
+            verdict: crate::Verdict::Verified,
+            stats: crate::VerifyStats {
+                metrics: a,
+                ..crate::VerifyStats::default()
+            },
+            checkpoint: None,
+            limit: None,
+            certificate: None,
+        };
+        let text = RunReport::from_run(&run).render();
+        for row in ["warm", "center", "fgsm", "coordinate", "restarts"] {
+            assert!(text.contains(&format!("\n    {row} ")), "report: {text}");
+        }
+        for row in ["affine", "relu", "maxpool"] {
+            assert!(text.contains(&format!("\n    {row} ")), "report: {text}");
+        }
     }
 
     #[test]
@@ -1345,7 +1495,7 @@ mod tests {
             elapsed: std::time::Duration::from_secs(2),
             ..crate::VerifyStats::default()
         };
-        stats.metrics.record_attack(0.5);
+        stats.metrics.record_attack(0.5, &[]);
         stats.metrics.record_propagation(1.0, true);
         stats.metrics.record_policy(0.1);
         stats.domain_uses.push(("(Z, 1)".to_string(), 7));

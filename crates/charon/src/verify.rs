@@ -1050,28 +1050,19 @@ fn region_step(
     let (mut x_star, mut objective) = if config.counterexample_search {
         stats.attacks += 1;
         let attack_start = Instant::now();
-        let result = if env.trace.enabled() {
-            // Traced path: per-phase events carry evals, best objective,
-            // and wall time for each attack stage.
-            let (result, phases) = env
-                .minimizer
-                .minimize_traced(net, region, target, incumbent);
-            for p in &phases.phases {
-                env.trace.record(&TraceEvent::Attack {
-                    ordinal,
-                    phase: p.phase.to_string(),
-                    evals: p.evals,
-                    best_objective: p.best_objective,
-                    seconds: p.seconds,
-                });
-            }
-            result
-        } else {
-            env.minimizer.minimize_from(net, region, target, incumbent)
-        };
+        let result = env.minimizer.minimize_from(net, region, target, incumbent);
         stats
             .metrics
-            .record_attack(attack_start.elapsed().as_secs_f64());
+            .record_attack(attack_start.elapsed().as_secs_f64(), &result.phases);
+        for p in result.phases.iter() {
+            emit(env.trace, || TraceEvent::Attack {
+                ordinal,
+                phase: p.phase.to_string(),
+                evals: p.evals,
+                best_objective: p.best_objective,
+                seconds: p.seconds,
+            });
+        }
         (result.point, result.objective)
     } else {
         let center = region.center();
@@ -1182,25 +1173,23 @@ fn region_step(
         });
     }
     let propagation_start = Instant::now();
-    let mut layer_seconds = Vec::new();
+    // Selections that do not run the checked propagation leave no
+    // per-layer times behind, never the previous region's.
+    ws.clear_layer_seconds();
     let selection = if forced_nan {
         SelectionResult::Poisoned
     } else {
-        let layer_times = env.trace.enabled().then_some(&mut layer_seconds);
-        run_selection(net, region, target, choice, env.deadline, ws, layer_times)
+        run_selection(net, region, target, choice, env.deadline, ws)
     };
-    let propagation_seconds = propagation_start.elapsed().as_secs_f64();
-    stats.metrics.record_propagation(
-        propagation_seconds,
-        matches!(selection, SelectionResult::Verified { .. }),
-    );
-    emit(env.trace, || TraceEvent::Propagation {
+    record_propagation(
+        env,
+        stats,
+        ws,
         ordinal,
-        domain: choice.to_string(),
-        seconds: propagation_seconds,
-        outcome: selection_name(&selection).to_string(),
-        layer_seconds: layer_seconds.clone(),
-    });
+        choice,
+        propagation_start,
+        selection_name(&selection),
+    );
     match selection {
         SelectionResult::Verified { margin } => {
             return StepResult::Outcome(RegionOutcome::Verified {
@@ -1279,25 +1268,44 @@ fn timed_interval_analysis(
     ws: &mut Workspace,
 ) -> (AnalysisOutcome, f64) {
     let start = Instant::now();
-    let (outcome, margin) = analyze_margin_checked_ws(
-        env.net,
-        region,
-        env.target,
-        DomainChoice::interval(),
+    let choice = DomainChoice::interval();
+    let (outcome, margin) = analyze_margin_checked_ws(env.net, region, env.target, choice, ws);
+    record_propagation(
+        env,
+        stats,
         ws,
+        ordinal,
+        DomainSelection::Abstract(choice),
+        start,
+        outcome_name(outcome),
     );
+    (outcome, margin)
+}
+
+/// Records one propagation that began at `start` and ended with
+/// `outcome`: its time, outcome and per-layer seconds (left in `ws` by the
+/// checked propagation) go into the metrics and, when tracing, into a
+/// `Propagation` event built from the same numbers.
+fn record_propagation(
+    env: &StepEnv<'_>,
+    stats: &mut VerifyStats,
+    ws: &Workspace,
+    ordinal: usize,
+    choice: DomainSelection,
+    start: Instant,
+    outcome: &'static str,
+) {
     let seconds = start.elapsed().as_secs_f64();
-    stats
-        .metrics
-        .record_propagation(seconds, matches!(outcome, AnalysisOutcome::Proved));
+    let metrics = &mut stats.metrics;
+    metrics.record_propagation(seconds, outcome == "proved");
+    metrics.record_layers(env.net.layers(), ws.layer_seconds());
     emit(env.trace, || TraceEvent::Propagation {
         ordinal,
-        domain: DomainChoice::interval().to_string(),
+        domain: choice.to_string(),
         seconds,
-        outcome: outcome_name(outcome).to_string(),
-        layer_seconds: Vec::new(),
+        outcome: outcome.to_string(),
+        layer_seconds: ws.layer_seconds().to_vec(),
     });
-    (outcome, margin)
 }
 
 /// Stable name of an [`AnalysisOutcome`], as used in trace events.
@@ -1418,9 +1426,8 @@ pub(crate) enum SelectionResult {
 /// complete solver; the abstract domains run to completion (they are fast
 /// relative to a region budget).
 ///
-/// When `layer_times` is `Some`, abstract-domain propagations record
-/// per-layer wall-clock seconds into it (tracing only; the untimed path
-/// is byte-for-byte the PR 2 hot path).
+/// Abstract-domain selections run the checked propagation, which leaves
+/// its per-layer seconds in `ws` ([`Workspace::layer_seconds`]).
 pub(crate) fn run_selection(
     net: &Network,
     region: &Bounds,
@@ -1428,7 +1435,6 @@ pub(crate) fn run_selection(
     choice: DomainSelection,
     deadline: Instant,
     ws: &mut Workspace,
-    layer_times: Option<&mut Vec<f64>>,
 ) -> SelectionResult {
     let from_outcome = |(outcome, margin): (AnalysisOutcome, f64)| match outcome {
         AnalysisOutcome::Proved => SelectionResult::Verified { margin },
@@ -1436,15 +1442,9 @@ pub(crate) fn run_selection(
         AnalysisOutcome::Poisoned => SelectionResult::Poisoned,
     };
     match choice {
-        DomainSelection::Abstract(c) => match layer_times {
-            Some(times) => {
-                // The traced path does not expose the margin; leaf records
-                // from traced runs lean on the auditor's replay.
-                let outcome = domains::analyze_checked_traced(net, region, target, c, ws, times);
-                from_outcome((outcome, 0.0))
-            }
-            None => from_outcome(analyze_margin_checked_ws(net, region, target, c, ws)),
-        },
+        DomainSelection::Abstract(c) => {
+            from_outcome(analyze_margin_checked_ws(net, region, target, c, ws))
+        }
         DomainSelection::DeepPoly => {
             // DeepPoly's margin comparison is NaN-safe (NaN reads as
             // "not verified"), so a poisoned run is merely inconclusive.

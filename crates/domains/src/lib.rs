@@ -19,7 +19,9 @@
 //!
 //! The top-level entry points are [`propagate`], which pushes an abstract
 //! element through a network, and [`analyze`], which checks a robustness
-//! property under a [`DomainChoice`].
+//! property under a [`DomainChoice`]. The verifier's hot path uses their
+//! checked, workspace-backed forms, [`propagate_checked_ws`] and
+//! [`analyze_margin_checked_ws`].
 //!
 //! # Soundness
 //!
@@ -29,10 +31,11 @@
 //!
 //! # Workspace ownership
 //!
-//! The `_ws` entry points ([`propagate_checked_ws`], [`analyze_checked_ws`],
-//! and the per-element `affine_ws` methods) thread a [`Workspace`] of
-//! reusable scratch buffers through the propagation loop so the hot path
-//! allocates nothing in steady state. The ownership rules:
+//! The `_ws` entry points ([`propagate_checked_ws`],
+//! [`analyze_margin_checked_ws`], and the per-element `affine_ws` methods)
+//! thread a [`Workspace`] of reusable scratch buffers through the
+//! propagation loop so the hot path allocates nothing in steady state. The
+//! ownership rules:
 //!
 //! * A [`Workspace`] belongs to exactly one thread (it is deliberately not
 //!   shared); parallel verifiers keep one workspace per worker.
@@ -40,19 +43,26 @@
 //!   and must be handed back with `recycle` once the element is dead —
 //!   dropping an element instead of recycling it is safe but forfeits the
 //!   reuse. The propagation loops in this crate always recycle.
-//! * A workspace never holds live data between calls: any buffer handed
+//! * Apart from the last propagation's per-layer times (below), a
+//!   workspace never holds live data between calls: any buffer handed
 //!   out is fully overwritten before use, so workspaces may be reused
 //!   across unrelated networks and properties.
 //!
 //! # Numeric failure model
 //!
-//! The `checked` variants guard every layer transition against NaN/Inf
-//! poisoning: [`analyze_checked_ws`] returns
+//! The checked entry points guard every layer transition against NaN/Inf
+//! poisoning: [`analyze_margin_checked_ws`] returns
 //! [`AnalysisOutcome::Poisoned`] instead of silently propagating
 //! non-finite bounds, and the verifier reacts by retrying the region on
-//! the interval domain. [`propagate_checked_ws_timed`] and
-//! [`analyze_checked_traced`] are the observability twins used when a
-//! trace sink is attached: identical math, plus per-layer wall time.
+//! the interval domain.
+//!
+//! # Per-layer time
+//!
+//! There is one checked propagation, and it always measures itself: each
+//! call records the wall-clock seconds of every layer into the
+//! workspace's [`Workspace::layer_seconds`] buffer (one clock read per
+//! layer). Callers that report per-layer time read the buffer after the
+//! call; callers that do not simply ignore it.
 //!
 //! # Examples
 //!
@@ -106,6 +116,7 @@ use nn::{Layer, Network};
 #[derive(Debug, Default)]
 pub struct Workspace {
     pool: Vec<Vec<f64>>,
+    layer_seconds: Vec<f64>,
 }
 
 impl Workspace {
@@ -155,6 +166,19 @@ impl Workspace {
     /// Number of buffers currently pooled (diagnostics / tests).
     pub fn pooled(&self) -> usize {
         self.pool.len()
+    }
+
+    /// Wall-clock seconds per layer of the last checked propagation run
+    /// through this workspace ([`propagate_checked_ws`]), in layer order.
+    pub fn layer_seconds(&self) -> &[f64] {
+        &self.layer_seconds
+    }
+
+    /// Empties [`Workspace::layer_seconds`], for callers that run an
+    /// analysis without a per-layer breakdown and must not report the
+    /// previous propagation's times.
+    pub fn clear_layer_seconds(&mut self) {
+        self.layer_seconds.clear();
     }
 }
 
@@ -240,43 +264,21 @@ pub fn propagate<E: AbstractElement>(net: &Network, element: E) -> E {
 }
 
 /// Propagates an abstract element through a network with a per-layer
-/// poisoning check.
+/// poisoning check, recycling buffers through a scratch [`Workspace`].
 ///
-/// Returns `None` as soon as any intermediate element contains NaN
+/// Affine layers use [`AbstractElement::affine_ws`] and each intermediate
+/// element's buffers are recycled as soon as the next layer's output
+/// exists. Returns `None` as soon as any intermediate element contains NaN
 /// (see [`AbstractElement::is_poisoned`]); the result of further
 /// propagation would be meaningless.
 ///
-/// # Panics
+/// Every call times its layers: afterwards [`Workspace::layer_seconds`]
+/// holds the wall-clock seconds of each layer transformer (plus its
+/// poisoning check) in layer order, covering only the layers that ran on
+/// an early poisoning exit. The buffer is the workspace's own, so the
+/// timing allocates nothing in steady state.
 ///
-/// Panics if `element.dim() != net.input_dim()`.
-pub fn propagate_checked<E: AbstractElement>(net: &Network, element: E) -> Option<E> {
-    assert_eq!(
-        element.dim(),
-        net.input_dim(),
-        "element dimension must match network input"
-    );
-    if element.is_poisoned() {
-        return None;
-    }
-    let mut current = element;
-    for layer in net.layers() {
-        current = match layer {
-            Layer::Affine(a) => current.affine(a),
-            Layer::Relu => current.relu(),
-            Layer::MaxPool(p) => current.max_pool(p),
-        };
-        if current.is_poisoned() {
-            return None;
-        }
-    }
-    Some(current)
-}
-
-/// [`propagate_checked`] with a scratch [`Workspace`]: affine layers use
-/// [`AbstractElement::affine_ws`] and each intermediate element's buffers
-/// are recycled as soon as the next layer's output exists.
-///
-/// Produces bit-identical results to [`propagate_checked`].
+/// Produces bit-identical elements to [`propagate`].
 ///
 /// # Panics
 ///
@@ -286,61 +288,19 @@ pub fn propagate_checked_ws<E: AbstractElement>(
     element: E,
     ws: &mut Workspace,
 ) -> Option<E> {
-    assert_eq!(
-        element.dim(),
-        net.input_dim(),
-        "element dimension must match network input"
-    );
-    if element.is_poisoned() {
-        return None;
-    }
-    let mut current = element;
-    for layer in net.layers() {
-        let next = match layer {
-            Layer::Affine(a) => current.affine_ws(a, ws),
-            Layer::Relu => current.relu(),
-            Layer::MaxPool(p) => current.max_pool(p),
-        };
-        current.recycle(ws);
-        current = next;
-        if current.is_poisoned() {
-            return None;
-        }
-    }
-    Some(current)
-}
-
-/// [`propagate_checked_ws`] with per-layer wall-clock timing: the
-/// duration of each layer transformer (plus its poisoning check) is
-/// pushed onto `layer_seconds` in layer order.
-///
-/// This is the tracing-only entry point — the untimed
-/// [`propagate_checked_ws`] stays free of `Instant` reads so the hot
-/// path is unchanged when telemetry is disabled. Produces bit-identical
-/// elements to [`propagate_checked_ws`]; on early poisoning exit,
-/// `layer_seconds` covers only the layers that ran.
-///
-/// # Panics
-///
-/// Panics if `element.dim() != net.input_dim()`.
-pub fn propagate_checked_ws_timed<E: AbstractElement>(
-    net: &Network,
-    element: E,
-    ws: &mut Workspace,
-    layer_seconds: &mut Vec<f64>,
-) -> Option<E> {
     use std::time::Instant;
     assert_eq!(
         element.dim(),
         net.input_dim(),
         "element dimension must match network input"
     );
+    ws.layer_seconds.clear();
     if element.is_poisoned() {
         return None;
     }
     let mut current = element;
+    let mut start = Instant::now();
     for layer in net.layers() {
-        let start = Instant::now();
         let next = match layer {
             Layer::Affine(a) => current.affine_ws(a, ws),
             Layer::Relu => current.relu(),
@@ -349,7 +309,9 @@ pub fn propagate_checked_ws_timed<E: AbstractElement>(
         current.recycle(ws);
         current = next;
         let poisoned = current.is_poisoned();
-        layer_seconds.push(start.elapsed().as_secs_f64());
+        let end = Instant::now();
+        ws.layer_seconds.push((end - start).as_secs_f64());
+        start = end;
         if poisoned {
             return None;
         }
@@ -432,7 +394,7 @@ impl std::fmt::Display for DomainChoice {
     }
 }
 
-/// Result of a guarded abstract analysis ([`analyze_checked`]).
+/// Result of a guarded abstract analysis ([`analyze_margin_checked_ws`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnalysisOutcome {
     /// The abstraction proves every point of the region is classified as
@@ -453,65 +415,35 @@ pub enum AnalysisOutcome {
 /// Returns `true` if the abstract analysis proves that every point in
 /// `region` is classified as `target`. A `false` result is inconclusive
 /// (the abstraction may simply be too coarse). Callers that need to
-/// distinguish "too coarse" from "numerically poisoned" should use
-/// [`analyze_checked`].
+/// distinguish "too coarse" from "numerically poisoned", or want the
+/// margin, should use [`analyze_margin_checked_ws`].
 ///
 /// # Panics
 ///
 /// Panics if `region.dim() != net.input_dim()` or
 /// `target >= net.output_dim()`.
 pub fn analyze(net: &Network, region: &Bounds, target: usize, choice: DomainChoice) -> bool {
-    analyze_checked(net, region, target, choice) == AnalysisOutcome::Proved
+    analyze_margin_checked_ws(net, region, target, choice, &mut Workspace::new()).0
+        == AnalysisOutcome::Proved
 }
 
-/// [`analyze`] with NaN-poisoning detection: every intermediate element
-/// and the final margin bound are checked for NaN, and
-/// [`AnalysisOutcome::Poisoned`] is reported instead of silently
-/// comparing NaN against zero.
+/// [`analyze`] with NaN-poisoning detection, the derived margin and a
+/// caller-provided scratch [`Workspace`], so repeated analyses (worklist
+/// verification) reuse heap buffers across regions.
 ///
-/// # Panics
-///
-/// Panics if `region.dim() != net.input_dim()` or
-/// `target >= net.output_dim()`.
-pub fn analyze_checked(
-    net: &Network,
-    region: &Bounds,
-    target: usize,
-    choice: DomainChoice,
-) -> AnalysisOutcome {
-    analyze_checked_ws(net, region, target, choice, &mut Workspace::new())
-}
-
-/// [`analyze_checked`] with a caller-provided scratch [`Workspace`], so
-/// repeated analyses (worklist verification) reuse heap buffers across
-/// regions instead of reallocating every layer.
-///
-/// Produces bit-identical outcomes to [`analyze_checked`].
-///
-/// # Panics
-///
-/// Panics if `region.dim() != net.input_dim()` or
-/// `target >= net.output_dim()`.
-pub fn analyze_checked_ws(
-    net: &Network,
-    region: &Bounds,
-    target: usize,
-    choice: DomainChoice,
-    ws: &mut Workspace,
-) -> AnalysisOutcome {
-    analyze_margin_checked_ws(net, region, target, choice, ws).0
-}
-
-/// [`analyze_checked_ws`] that additionally reports the margin lower
-/// bound the abstraction derived.
-///
-/// The second component is the value of
+/// Every intermediate element and the final margin bound are checked for
+/// NaN, and [`AnalysisOutcome::Poisoned`] is reported instead of silently
+/// comparing NaN against zero. The second component is the value of
 /// [`AbstractElement::margin_lower_bound`] on the propagated element: it
 /// is positive exactly when the outcome is [`AnalysisOutcome::Proved`],
 /// non-positive when [`AnalysisOutcome::Inconclusive`], and NaN when
 /// [`AnalysisOutcome::Poisoned`] (or when the region itself contains
 /// NaN). Proof-certificate emission records this margin per verified
 /// leaf so an auditor can cross-check the claim.
+///
+/// The propagation is timed per layer into [`Workspace::layer_seconds`]
+/// (see [`propagate_checked_ws`]); the buffer is empty when the region
+/// contains NaN and nothing ran.
 ///
 /// # Panics
 ///
@@ -526,92 +458,32 @@ pub fn analyze_margin_checked_ws(
 ) -> (AnalysisOutcome, f64) {
     assert!(target < net.output_dim(), "target class out of range");
     if region.has_nan() {
+        ws.layer_seconds.clear();
         return (AnalysisOutcome::Poisoned, f64::NAN);
     }
     match (choice.base, choice.disjuncts) {
-        (BaseDomain::Interval, 1) => margin_outcome_margin_ws(
+        (BaseDomain::Interval, 1) => margin_outcome(
             propagate_checked_ws(net, Interval::from_bounds(region), ws),
             target,
             ws,
         ),
-        (BaseDomain::Zonotope, 1) => margin_outcome_margin_ws(
+        (BaseDomain::Zonotope, 1) => margin_outcome(
             propagate_checked_ws(net, Zonotope::from_bounds(region), ws),
             target,
             ws,
         ),
         (BaseDomain::Interval, k) => {
             let element = Powerset::<Interval>::with_budget(region, k);
-            margin_outcome_margin_ws(propagate_checked_ws(net, element, ws), target, ws)
+            margin_outcome(propagate_checked_ws(net, element, ws), target, ws)
         }
         (BaseDomain::Zonotope, k) => {
             let element = Powerset::<Zonotope>::with_budget(region, k);
-            margin_outcome_margin_ws(propagate_checked_ws(net, element, ws), target, ws)
+            margin_outcome(propagate_checked_ws(net, element, ws), target, ws)
         }
     }
 }
 
-/// [`analyze_checked_ws`] with per-layer wall-clock timing (see
-/// [`propagate_checked_ws_timed`]): each layer's duration is appended to
-/// `layer_seconds` in layer order.
-///
-/// Tracing-only entry point; produces bit-identical outcomes to
-/// [`analyze_checked_ws`].
-///
-/// # Panics
-///
-/// Panics if `region.dim() != net.input_dim()` or
-/// `target >= net.output_dim()`.
-pub fn analyze_checked_traced(
-    net: &Network,
-    region: &Bounds,
-    target: usize,
-    choice: DomainChoice,
-    ws: &mut Workspace,
-    layer_seconds: &mut Vec<f64>,
-) -> AnalysisOutcome {
-    assert!(target < net.output_dim(), "target class out of range");
-    if region.has_nan() {
-        return AnalysisOutcome::Poisoned;
-    }
-    match (choice.base, choice.disjuncts) {
-        (BaseDomain::Interval, 1) => margin_outcome_ws(
-            propagate_checked_ws_timed(net, Interval::from_bounds(region), ws, layer_seconds),
-            target,
-            ws,
-        ),
-        (BaseDomain::Zonotope, 1) => margin_outcome_ws(
-            propagate_checked_ws_timed(net, Zonotope::from_bounds(region), ws, layer_seconds),
-            target,
-            ws,
-        ),
-        (BaseDomain::Interval, k) => {
-            let element = Powerset::<Interval>::with_budget(region, k);
-            margin_outcome_ws(
-                propagate_checked_ws_timed(net, element, ws, layer_seconds),
-                target,
-                ws,
-            )
-        }
-        (BaseDomain::Zonotope, k) => {
-            let element = Powerset::<Zonotope>::with_budget(region, k);
-            margin_outcome_ws(
-                propagate_checked_ws_timed(net, element, ws, layer_seconds),
-                target,
-                ws,
-            )
-        }
-    }
-}
-
-fn margin_outcome_ws<E: AbstractElement>(
-    element: Option<E>,
-    target: usize,
-    ws: &mut Workspace,
-) -> AnalysisOutcome {
-    margin_outcome_margin_ws(element, target, ws).0
-}
-
-fn margin_outcome_margin_ws<E: AbstractElement>(
+fn margin_outcome<E: AbstractElement>(
     element: Option<E>,
     target: usize,
     ws: &mut Workspace,
@@ -631,7 +503,6 @@ fn margin_outcome_margin_ws<E: AbstractElement>(
         }
     }
 }
-
 
 /// Operations on a single coordinate of an abstract element, used by the
 /// powerset domain to perform ReLU case splitting.

@@ -46,6 +46,7 @@ cargo run --release -q -p cli -- verify \
   --network "$trace_dir/xor.net" --property "$trace_dir/p.prop" \
   --report --trace-out "$trace_dir/run.jsonl" | tee "$trace_dir/verify.out" >/dev/null
 grep -q 'run report: verified' "$trace_dir/verify.out"
+grep -q '^    affine ' "$trace_dir/verify.out"
 cargo run --release -q -p cli -- trace --in "$trace_dir/run.jsonl" \
   | tee "$trace_dir/trace.out" >/dev/null
 grep -q 'verdict: 1' "$trace_dir/trace.out"
@@ -54,6 +55,8 @@ rm -rf "$trace_dir"
 # Certified-verdict smoke: verify a zoo property with certificate
 # emission, the independent auditor must accept the artifact, and a
 # single corrupted byte must turn acceptance into a nonzero rejection.
+# A traced run of the same property must write the same certificate
+# byte for byte: tracing never changes what the engine computes.
 cert_dir="$(mktemp -d)"
 cargo run --release -q -p cli -- prop --zoo mnist-3x32 --image 0 --tau 0.7 \
   --out-network "$cert_dir/zoo.net" --out-property "$cert_dir/zoo.prop"
@@ -61,6 +64,11 @@ cargo run --release -q -p cli -- verify \
   --network "$cert_dir/zoo.net" --property "$cert_dir/zoo.prop" \
   --cert-out "$cert_dir/zoo.cert" | tee "$cert_dir/verify.out" >/dev/null
 grep -q 'certificate written to' "$cert_dir/verify.out"
+cargo run --release -q -p cli -- verify \
+  --network "$cert_dir/zoo.net" --property "$cert_dir/zoo.prop" \
+  --cert-out "$cert_dir/traced.cert" --trace-out "$cert_dir/run.jsonl" \
+  >"$cert_dir/traced.out"
+cmp "$cert_dir/zoo.cert" "$cert_dir/traced.cert"
 cargo run --release -q -p cli -- audit \
   --network "$cert_dir/zoo.net" --cert "$cert_dir/zoo.cert" \
   | tee "$cert_dir/audit.out" >/dev/null
