@@ -30,6 +30,15 @@
 //!   evaluation counts, best objective, and wall time, held inline in
 //!   [`AttackResult::phases`] so recording them allocates nothing. The
 //!   cost is one clock read per phase.
+//! * A PGD step costs one forward and one backward pass: the forward
+//!   pass that evaluates `F` at the new iterate ([`nn::Network::forward`])
+//!   is the trace the next gradient reads. The buffers are reused across
+//!   steps, sweeps and the phases of one search, so [`pgd`] and
+//!   [`coordinate_descent`] allocate a fixed number of times per call
+//!   whatever the step or sweep count. `evals` still counts one per
+//!   objective and one per gradient, and the search visits the same
+//!   points, bit for bit, as when every gradient re-evaluated the
+//!   network.
 //!
 //! # Examples
 //!
@@ -46,10 +55,13 @@
 //! ```
 
 use domains::Bounds;
-use nn::Network;
+use nn::{BatchTrace, Network, Trace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tensor::Matrix;
+
+#[cfg(test)]
+mod reference;
 
 /// Replaces a NaN objective value with `+∞` so it can never be accepted
 /// as a best-so-far or trip a `<= δ` refutation check. Networks with
@@ -69,6 +81,16 @@ fn sanitize_objective(f: f64) -> f64 {
 /// the region or poison it outright.
 fn gradient_is_finite(g: &[f64]) -> bool {
     g.iter().all(|v| v.is_finite())
+}
+
+/// Evaluation buffers one search reuses across its phases: the forward
+/// traces the gradients are read from, and PGD's iterate and best point.
+#[derive(Default)]
+struct Scratch {
+    trace: Trace,
+    batch: BatchTrace,
+    x: Vec<f64>,
+    best: Vec<f64>,
 }
 
 /// Result of an optimization run: the best point found and its objective
@@ -173,10 +195,27 @@ pub fn pgd(
     start: &[f64],
     config: &PgdConfig,
 ) -> AttackResult {
+    pgd_in(net, region, target, start, config, &mut Scratch::default())
+}
+
+/// [`pgd`] on caller-owned buffers. Each step runs one backward pass
+/// through the trace of the forward pass that evaluated the current
+/// iterate, then one forward pass at the next iterate.
+fn pgd_in(
+    net: &Network,
+    region: &Bounds,
+    target: usize,
+    start: &[f64],
+    config: &PgdConfig,
+    scratch: &mut Scratch,
+) -> AttackResult {
     assert!(region.contains(start), "start point must lie in the region");
-    let mut x = start.to_vec();
-    let mut best = x.clone();
-    let mut best_f = sanitize_objective(net.objective(&x, target));
+    let Scratch { trace, x, best, .. } = scratch;
+    x.clear();
+    x.extend_from_slice(start);
+    best.clone_from(x);
+    net.forward(x, trace);
+    let mut best_f = sanitize_objective(trace.objective(target));
     let mut evals = 1;
     let mut step = config.step_fraction * region.mean_width().max(1e-12);
 
@@ -184,12 +223,12 @@ pub fn pgd(
         if best_f <= 0.0 {
             break;
         }
-        let g = net.objective_gradient(&x, target);
+        let g = net.objective_backward(trace, target);
         evals += 1;
-        if !gradient_is_finite(&g) {
+        if !gradient_is_finite(g) {
             break;
         }
-        let norm = tensor::ops::norm2(&g);
+        let norm = tensor::ops::norm2(g);
         if norm < 1e-12 {
             break;
         }
@@ -197,12 +236,13 @@ pub fn pgd(
         for (xi, gi) in x.iter_mut().zip(g.iter()) {
             *xi -= step * gi / norm;
         }
-        region.clamp(&mut x);
-        let f = sanitize_objective(net.objective(&x, target));
+        region.clamp(x);
+        net.forward(x, trace);
+        let f = sanitize_objective(trace.objective(target));
         evals += 1;
         if f < best_f {
             best_f = f;
-            best = x.clone();
+            best.copy_from_slice(x);
         } else {
             step *= config.decay;
             if step < 1e-12 {
@@ -211,7 +251,7 @@ pub fn pgd(
         }
     }
     AttackResult {
-        point: best,
+        point: best.clone(),
         objective: best_f,
         evals,
         phases: Phases::default(),
@@ -233,9 +273,23 @@ pub fn coordinate_descent(
     start: &[f64],
     sweeps: usize,
 ) -> AttackResult {
+    coordinate_descent_in(net, region, target, start, sweeps, &mut Scratch::default())
+}
+
+/// [`coordinate_descent`] evaluating through a caller-owned trace.
+fn coordinate_descent_in(
+    net: &Network,
+    region: &Bounds,
+    target: usize,
+    start: &[f64],
+    sweeps: usize,
+    scratch: &mut Scratch,
+) -> AttackResult {
     assert!(region.contains(start), "start point must lie in the region");
+    let trace = &mut scratch.trace;
     let mut x = start.to_vec();
-    let mut best_f = sanitize_objective(net.objective(&x, target));
+    net.forward(&x, trace);
+    let mut best_f = sanitize_objective(trace.objective(target));
     let mut evals = 1;
     let free: Vec<usize> = region
         .widths()
@@ -259,7 +313,8 @@ pub fn coordinate_descent(
                     continue;
                 }
                 x[i] = candidate;
-                let f = sanitize_objective(net.objective(&x, target));
+                net.forward(&x, trace);
+                let f = sanitize_objective(trace.objective(target));
                 evals += 1;
                 if f < local_best {
                     local_best = f;
@@ -289,11 +344,12 @@ pub fn coordinate_descent(
 
 /// Projected gradient descent on a batch of starting points in lockstep.
 ///
-/// Each row of `starts` is one restart. Every descent iteration evaluates
-/// the whole batch with one blocked forward/backward pass
-/// ([`Network::objective_gradient_batch`]) instead of one matrix-vector
-/// product per point per layer, so the per-layer weight matrix is read
-/// once per iteration for all restarts. Rows retire independently (zero or
+/// Each row of `starts` is one restart. Every descent iteration runs one
+/// blocked backward pass ([`Network::objective_backward_batch`]) through
+/// the trace of the previous blocked forward pass
+/// ([`Network::forward_batch`]) instead of one matrix-vector product per
+/// point per layer, so the per-layer weight matrix is read once per
+/// iteration for all restarts. Rows retire independently (zero or
 /// poisoned gradient, step underflow), and the whole batch stops as soon
 /// as any row reaches a non-positive objective — matching the sequential
 /// restart loop, which never ran later restarts after a success.
@@ -311,23 +367,45 @@ pub fn pgd_batch(
     starts: &Matrix,
     config: &PgdConfig,
 ) -> AttackResult {
+    pgd_batch_in(net, region, target, starts, config, &mut Scratch::default())
+}
+
+/// [`pgd_batch`] on a caller-owned batch trace. The forward pass that
+/// evaluates a step's iterates is the trace the next step's gradient
+/// reads, as long as no row retired in between; after a retirement the
+/// live rows are repacked and evaluated afresh, so every row keeps the
+/// batch position (and so the kernel tiling) it always had.
+fn pgd_batch_in(
+    net: &Network,
+    region: &Bounds,
+    target: usize,
+    starts: &Matrix,
+    config: &PgdConfig,
+    scratch: &mut Scratch,
+) -> AttackResult {
     assert!(starts.rows() > 0, "batch must contain at least one start");
     for start in starts.rows_iter() {
         assert!(region.contains(start), "start point must lie in the region");
     }
     let n = starts.cols();
     let base_step = config.step_fraction * region.mean_width().max(1e-12);
+    let trace = &mut scratch.batch;
 
     let mut xs = starts.clone();
     let mut best = starts.clone();
     let mut best_f: Vec<f64> = net
-        .objective_batch(&xs, target)
-        .into_iter()
-        .map(sanitize_objective)
+        .forward_batch(starts, trace)
+        .rows_iter()
+        .map(|y| sanitize_objective(nn::margin(y, target)))
         .collect();
     let mut evals = starts.rows();
     let mut step = vec![base_step; starts.rows()];
     let mut active = vec![true; starts.rows()];
+    // `packed` is the batch the trace was evaluated on and `traced` its
+    // row ids.
+    let mut packed = starts.clone();
+    let mut traced: Vec<usize> = (0..starts.rows()).collect();
+    let mut live = Vec::with_capacity(starts.rows());
 
     'outer: for _ in 0..config.steps {
         if best_f.iter().any(|f| *f <= 0.0) {
@@ -335,15 +413,20 @@ pub fn pgd_batch(
         }
         // Compact the live rows so retired restarts stop consuming
         // kernel work, then scatter the results back by row id.
-        let live: Vec<usize> = (0..xs.rows()).filter(|&r| active[r]).collect();
+        live.clear();
+        live.extend((0..xs.rows()).filter(|&r| active[r]));
         if live.is_empty() {
             break;
         }
-        let mut packed = Matrix::zeros(0, n);
-        for &r in &live {
-            packed.push_row(xs.row(r));
+        if live != traced {
+            packed.reset(0, n);
+            for &r in &live {
+                packed.push_row(xs.row(r));
+            }
+            net.forward_batch(&packed, trace);
+            traced.clone_from(&live);
         }
-        let gs = net.objective_gradient_batch(&packed, target);
+        let gs = net.objective_backward_batch(trace, target);
         evals += live.len();
         for ((&r, g), x) in live.iter().zip(gs.rows_iter()).zip(packed.rows_iter_mut()) {
             if !gradient_is_finite(g) {
@@ -361,13 +444,13 @@ pub fn pgd_batch(
             region.clamp(x);
             xs.row_mut(r).copy_from_slice(x);
         }
-        let fs = net.objective_batch(&packed, target);
-        for (&r, f) in live.iter().zip(fs.iter()) {
+        let ys = net.forward_batch(&packed, trace);
+        for (&r, y) in live.iter().zip(ys.rows_iter()) {
             if !active[r] {
                 continue;
             }
             evals += 1;
-            let f = sanitize_objective(*f);
+            let f = sanitize_objective(nn::margin(y, target));
             if f < best_f[r] {
                 best_f[r] = f;
                 best.row_mut(r).copy_from_slice(xs.row(r));
@@ -401,9 +484,22 @@ pub fn pgd_batch(
 ///
 /// Panics if `start` is not inside `region`.
 pub fn fgsm_step(net: &Network, region: &Bounds, target: usize, start: &[f64]) -> Vec<f64> {
+    fgsm_step_in(net, region, target, start, &mut Scratch::default())
+}
+
+/// [`fgsm_step`] evaluating through a caller-owned trace.
+fn fgsm_step_in(
+    net: &Network,
+    region: &Bounds,
+    target: usize,
+    start: &[f64],
+    scratch: &mut Scratch,
+) -> Vec<f64> {
     assert!(region.contains(start), "start point must lie in the region");
-    let g = net.objective_gradient(start, target);
-    if !gradient_is_finite(&g) {
+    let trace = &mut scratch.trace;
+    net.forward(start, trace);
+    let g = net.objective_backward(trace, target);
+    if !gradient_is_finite(g) {
         // A poisoned gradient gives no usable direction; stay put.
         return start.to_vec();
     }
@@ -500,7 +596,8 @@ impl Minimizer {
         incumbent: Option<&[f64]>,
     ) -> AttackResult {
         let mut phases = Phases::default();
-        let mut result = self.search(net, region, target, incumbent, &mut phases);
+        let mut scratch = Scratch::default();
+        let mut result = self.search(net, region, target, incumbent, &mut phases, &mut scratch);
         result.phases = phases;
         result
     }
@@ -514,6 +611,7 @@ impl Minimizer {
         target: usize,
         incumbent: Option<&[f64]>,
         phases: &mut Phases,
+        scratch: &mut Scratch,
     ) -> AttackResult {
         // One clock read per phase boundary: each phase's seconds run
         // from the end of the previous one.
@@ -541,19 +639,19 @@ impl Minimizer {
                     .map(|(v, c)| if v.is_finite() { *v } else { *c })
                     .collect();
                 region.clamp(&mut start);
-                let best = pgd(net, region, target, &start, &self.config);
+                let best = pgd_in(net, region, target, &start, &self.config, scratch);
                 record("warm", best.evals, best.objective);
                 best
             }
             None => {
-                let best = pgd(net, region, target, &center, &self.config);
+                let best = pgd_in(net, region, target, &center, &self.config, scratch);
                 record("center", best.evals, best.objective);
                 if best.objective <= 0.0 {
                     return best;
                 }
                 // FGSM-seeded run: jump to the steepest corner, then refine.
-                let corner = fgsm_step(net, region, target, &center);
-                let run = pgd(net, region, target, &corner, &self.config);
+                let corner = fgsm_step_in(net, region, target, &center, scratch);
+                let run = pgd_in(net, region, target, &corner, &self.config, scratch);
                 let before = best.evals;
                 let best = merge(best, run);
                 record("fgsm", best.evals - before, best.objective);
@@ -567,7 +665,7 @@ impl Minimizer {
         // One coordinate-descent pass: box-shaped regions (like the
         // brightening attacks of §7.1) often hide their minima in
         // corners that gradient steps orbit around.
-        let run = coordinate_descent(net, region, target, &center, 2);
+        let run = coordinate_descent_in(net, region, target, &center, 2, scratch);
         let before = best.evals;
         best = merge(best, run);
         record("coordinate", best.evals - before, best.objective);
@@ -583,7 +681,7 @@ impl Minimizer {
             for _ in 0..self.restarts {
                 starts.push_row(&region.sample(&mut rng));
             }
-            let run = pgd_batch(net, region, target, &starts, &self.config);
+            let run = pgd_batch_in(net, region, target, &starts, &self.config, scratch);
             let before = best.evals;
             best = merge(best, run);
             record("restarts", best.evals - before, best.objective);

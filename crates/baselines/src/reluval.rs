@@ -25,11 +25,19 @@ use crate::ToolVerdict;
 pub struct ReluValConfig {
     /// Maximum bisection depth before giving up on a branch.
     pub max_depth: usize,
+    /// Bisection-node budget: the most regions one analysis propagates
+    /// before it returns [`ToolVerdict::Timeout`], as the wall-clock
+    /// budget does. A work budget makes a run that cannot finish stop at
+    /// the same point on every machine. Unbounded by default.
+    pub max_nodes: usize,
 }
 
 impl Default for ReluValConfig {
     fn default() -> Self {
-        ReluValConfig { max_depth: 40 }
+        ReluValConfig {
+            max_depth: 40,
+            max_nodes: usize::MAX,
+        }
     }
 }
 
@@ -45,7 +53,9 @@ impl ReluVal {
         ReluVal { config }
     }
 
-    /// Analyzes a property with a wall-clock budget.
+    /// Analyzes a property with a wall-clock budget (and the node budget
+    /// of [`ReluValConfig::max_nodes`]); whichever runs out first ends
+    /// the analysis with [`ToolVerdict::Timeout`].
     ///
     /// Returns [`ToolVerdict::Unsupported`] for networks containing
     /// max-pooling layers (like the original tool, which handles only
@@ -63,11 +73,13 @@ impl ReluVal {
         let target = property.target();
         let mut stack: Vec<(Bounds, usize)> = vec![(property.region().clone(), 0)];
         let mut exhausted_depth = false;
+        let mut nodes = 0;
 
         while let Some((region, depth)) = stack.pop() {
-            if Instant::now() >= deadline {
+            if nodes >= self.config.max_nodes || Instant::now() >= deadline {
                 return ToolVerdict::Timeout;
             }
+            nodes += 1;
             let sym = propagate_symbolic(net, &region);
             if sym.margin_lower_bound(target) > 0.0 {
                 continue;
@@ -135,14 +147,33 @@ mod tests {
     fn cannot_falsify_only_times_out_or_exhausts() {
         let net = samples::example_2_2_network();
         let prop = RobustnessProperty::new(Bounds::new(vec![-1.0], vec![2.0]), 1);
-        let verdict = ReluVal::new(ReluValConfig { max_depth: 10 }).analyze(
-            &net,
-            &prop,
-            Duration::from_millis(500),
-        );
+        let verdict = ReluVal::new(ReluValConfig {
+            max_depth: 10,
+            ..ReluValConfig::default()
+        })
+        .analyze(&net, &prop, Duration::from_millis(500));
         assert!(
             matches!(verdict, ToolVerdict::Unknown | ToolVerdict::Timeout),
             "ReluVal must not decide a falsifiable property: {verdict:?}"
+        );
+    }
+
+    #[test]
+    fn node_budget_ends_a_refutable_run_with_timeout() {
+        let net = samples::example_2_2_network();
+        let prop = RobustnessProperty::new(Bounds::new(vec![-1.0], vec![2.0]), 1);
+        let budgeted = ReluVal::new(ReluValConfig {
+            max_nodes: 50,
+            ..ReluValConfig::default()
+        });
+        // The wall clock is far away; only the node budget can stop it.
+        let verdict = budgeted.analyze(&net, &prop, Duration::from_secs(3600));
+        assert_eq!(verdict, ToolVerdict::Timeout);
+        // The budget does not touch a property that verifies within it.
+        let robust = RobustnessProperty::new(Bounds::new(vec![-1.0], vec![1.0]), 1);
+        assert_eq!(
+            budgeted.analyze(&net, &robust, Duration::from_secs(3600)),
+            ToolVerdict::Verified
         );
     }
 

@@ -288,6 +288,58 @@ fn bench_region_throughput(width: usize, depth: usize, reps: usize) -> Sample {
     }
 }
 
+/// One PGD run of the counterexample search (Algorithm 1, line 2):
+/// `steps` descent steps written against the public per-point calls
+/// (`objective_gradient`, then `objective` at the new iterate: two
+/// forward passes and one backward pass per step) vs `attack::pgd`,
+/// whose next gradient reads the forward trace of the objective
+/// evaluation (one forward and one backward pass per step). Both sides
+/// visit the same iterates bit for bit.
+fn bench_attack_pgd(reps: usize) -> Sample {
+    let steps = 60;
+    let net = nn::train::random_mlp(784, &[32, 32, 32], 10, 7);
+    let center: Vec<f64> = (0..784).map(|i| (i as f64 * 0.013).sin().abs()).collect();
+    let target = net.classify(&center);
+    let region = Bounds::linf_ball(&center, 0.002, Some((0.0, 1.0)));
+    let config = attack::PgdConfig {
+        steps,
+        ..attack::PgdConfig::default()
+    };
+
+    let naive_s = time_median(reps, || {
+        let mut x = center.clone();
+        let mut best_f = net.objective(&x, target);
+        let mut step = config.step_fraction * region.mean_width();
+        for _ in 0..steps {
+            let g = net.objective_gradient(&x, target);
+            let norm = tensor::ops::norm2(&g);
+            if best_f <= 0.0 || norm < 1e-12 {
+                break;
+            }
+            for (xi, gi) in x.iter_mut().zip(&g) {
+                *xi -= step * gi / norm;
+            }
+            region.clamp(&mut x);
+            let f = net.objective(&x, target);
+            if f < best_f {
+                best_f = f;
+            } else {
+                step *= config.decay;
+            }
+        }
+        best_f
+    });
+    let fast_s = time_median(reps, || {
+        attack::pgd(&net, &region, target, &center, &config).objective
+    });
+    Sample {
+        name: "attack_pgd",
+        naive_s,
+        fast_s,
+        note: format!("{steps}-step PGD, 784 -> 3x32 -> 10 MLP"),
+    }
+}
+
 /// One small end-to-end verification, returning the engine's per-phase
 /// metrics so kernel-level numbers sit next to where the verifier
 /// actually spends its time. Tracing stays off (the default `NullSink`);
@@ -335,6 +387,7 @@ fn validate_json(json: &str) {
         "\"name\": \"zonotope_affine\"",
         "\"name\": \"simd_affine\"",
         "\"name\": \"scheduler_throughput\"",
+        "\"name\": \"attack_pgd\"",
         "\"speedup\":",
         "\"phases\":",
     ] {
@@ -364,6 +417,7 @@ fn main() {
         bench_matvec_bias(neurons, reps),
         bench_region_throughput(if smoke { 24 } else { 96 }, 4, reps),
         bench_scheduler_throughput(reps),
+        bench_attack_pgd(reps),
     ];
 
     println!("kernel perf ({}):", if smoke { "smoke" } else { "full" });

@@ -10,81 +10,90 @@ use tensor::Matrix;
 
 use crate::{Layer, Network};
 
+/// Reusable per-layer buffers for one batched forward pass and the
+/// backward pass that reads it: the batched counterpart of
+/// [`crate::Trace`].
+#[derive(Debug, Clone, Default)]
+pub struct BatchTrace {
+    /// `acts[0]` is the input batch and `acts[i + 1]` the batch after
+    /// layer `i`.
+    acts: Vec<Matrix>,
+    /// `grads[i]` is the gradient batch with respect to `acts[i]`.
+    grads: Vec<Matrix>,
+}
+
+impl BatchTrace {
+    /// An empty trace; the first forward pass sizes its buffers.
+    pub fn new() -> Self {
+        BatchTrace::default()
+    }
+
+    fn output(&self) -> &Matrix {
+        self.acts.last().expect("trace holds no forward pass")
+    }
+}
+
 impl Layer {
-    /// Applies the layer to every row of `xs` at once.
+    /// Applies the layer to every row of `xs` at once, into a reusable
+    /// matrix.
     ///
     /// Row `i` of the result equals `self.apply(xs.row(i))` for finite
-    /// inputs (the batched affine kernel accumulates in the same ascending
-    /// column order as the per-point path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs.cols()` differs from the layer's input dimension.
-    pub fn apply_batch(&self, xs: &Matrix) -> Matrix {
+    /// inputs up to the summation order of the blocked affine kernel.
+    fn apply_batch(&self, xs: &Matrix, out: &mut Matrix) {
         match self {
-            Layer::Affine(a) => xs.matmul_transb_bias(&a.weights, &a.bias),
-            Layer::Relu => {
-                let mut out = xs.clone();
-                for v in out.as_mut_slice() {
-                    *v = v.max(0.0);
+            Layer::Affine(a) => {
+                out.reset(xs.rows(), a.output_dim());
+                xs.matmul_transb_into(&a.weights, out.as_mut_slice());
+                for row in out.rows_iter_mut() {
+                    for (o, b) in row.iter_mut().zip(a.bias.iter()) {
+                        *o += b;
+                    }
                 }
-                out
+            }
+            Layer::Relu => {
+                out.reset(xs.rows(), xs.cols());
+                for (o, v) in out.as_mut_slice().iter_mut().zip(xs.as_slice()) {
+                    *o = v.max(0.0);
+                }
             }
             Layer::MaxPool(p) => {
                 assert_eq!(xs.cols(), p.input_dim, "max-pool dimension mismatch");
-                let mut out = Matrix::zeros(xs.rows(), p.output_dim());
+                out.reset(xs.rows(), p.output_dim());
                 for (x, o) in xs.rows_iter().zip(out.rows_iter_mut()) {
                     for (g, slot) in p.groups.iter().zip(o.iter_mut()) {
                         *slot = g.iter().map(|&i| x[i]).fold(f64::NEG_INFINITY, f64::max);
                     }
                 }
-                out
             }
         }
     }
 }
 
 impl Network {
-    /// Evaluates the network on every row of `xs` at once.
+    /// Evaluates every row of `xs` into `trace` and returns the output
+    /// batch. Row results depend only on the row and on its position in
+    /// the batch (the blocked kernels tile rows), never on stale buffer
+    /// contents.
     ///
     /// # Panics
     ///
     /// Panics if `xs.cols() != self.input_dim()`.
-    pub fn eval_batch(&self, xs: &Matrix) -> Matrix {
+    pub fn forward_batch<'t>(&self, xs: &Matrix, trace: &'t mut BatchTrace) -> &'t Matrix {
         assert_eq!(xs.cols(), self.input_dim(), "input dimension mismatch");
-        let mut v = xs.clone();
-        for layer in self.layers() {
-            v = layer.apply_batch(&v);
+        let acts = &mut trace.acts;
+        acts.resize_with(self.layers().len() + 1, || Matrix::zeros(0, 0));
+        acts[0].reset(xs.rows(), xs.cols());
+        acts[0].as_mut_slice().copy_from_slice(xs.as_slice());
+        for (idx, layer) in self.layers().iter().enumerate() {
+            let (done, rest) = acts.split_at_mut(idx + 1);
+            layer.apply_batch(&done[idx], &mut rest[0]);
         }
-        v
+        trace.output()
     }
 
-    /// Batched [`Network::eval_trace`]: `result[0]` is the input batch and
-    /// `result[i + 1]` the batch after layer `i`.
-    pub fn eval_trace_batch(&self, xs: &Matrix) -> Vec<Matrix> {
-        assert_eq!(xs.cols(), self.input_dim(), "input dimension mismatch");
-        let mut trace = Vec::with_capacity(self.layers().len() + 1);
-        trace.push(xs.clone());
-        for layer in self.layers() {
-            let next = layer.apply_batch(trace.last().expect("trace is non-empty"));
-            trace.push(next);
-        }
-        trace
-    }
-
-    /// The robustness objective `F` (Eq. 2) for every row of `xs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target >= self.output_dim()` or the network has fewer
-    /// than two outputs.
-    pub fn objective_batch(&self, xs: &Matrix, target: usize) -> Vec<f64> {
-        let ys = self.eval_batch(xs);
-        ys.rows_iter().map(|y| crate::margin(y, target)).collect()
-    }
-
-    /// Gradient of the robustness objective for every row of `xs`, as a
-    /// matrix whose row `i` is the gradient at `xs.row(i)`.
+    /// Gradient of the robustness objective for every row of the batch
+    /// held in `trace`, as a matrix whose row `i` is the gradient at input
+    /// row `i`.
     ///
     /// Semantics per row match [`Network::objective_gradient`]: the seed is
     /// `+1` at `target` and `-1` at that row's strongest rival class, ReLU
@@ -93,15 +102,27 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics if `target >= self.output_dim()`.
-    pub fn objective_gradient_batch(&self, xs: &Matrix, target: usize) -> Matrix {
+    /// Panics if `target >= self.output_dim()` or `trace` does not hold a
+    /// forward pass of this network.
+    pub fn objective_backward_batch<'t>(
+        &self,
+        trace: &'t mut BatchTrace,
+        target: usize,
+    ) -> &'t Matrix {
         assert!(target < self.output_dim(), "target class out of range");
-        let trace = self.eval_trace_batch(xs);
-        let ys = trace.last().expect("trace is non-empty");
+        let depth = self.layers().len();
+        assert!(
+            trace.acts.len() == depth + 1 && trace.output().cols() == self.output_dim(),
+            "trace does not hold a forward pass of this network"
+        );
+        let BatchTrace { acts, grads } = trace;
+        grads.resize_with(depth + 1, || Matrix::zeros(0, 0));
+        let ys = &acts[depth];
 
         // Seed batch: one ±1 pair per row. Rival ties keep the last
         // maximum, as the per-point path does.
-        let mut g = Matrix::zeros(xs.rows(), self.output_dim());
+        let g = &mut grads[depth];
+        g.reset(ys.rows(), ys.cols());
         for (y, seed) in ys.rows_iter().zip(g.rows_iter_mut()) {
             let mut rival = usize::MAX;
             for (j, v) in y.iter().enumerate() {
@@ -118,23 +139,24 @@ impl Network {
         }
 
         for (idx, layer) in self.layers().iter().enumerate().rev() {
-            let input = &trace[idx];
-            g = match layer {
+            let input = &acts[idx];
+            let (lower, upper) = grads.split_at_mut(idx + 1);
+            let (g, back) = (&upper[0], &mut lower[idx]);
+            back.reset(input.rows(), input.cols());
+            match layer {
                 // d(g·(Wx + b))/dx = Wᵀg, batched: G_prev = G · W.
-                Layer::Affine(a) => g.matmul(&a.weights),
+                Layer::Affine(a) => g.gemm_into(&a.weights, back.as_mut_slice()),
                 Layer::Relu => {
-                    let mut back = g;
-                    for (pre, gr) in input.rows_iter().zip(back.rows_iter_mut()) {
-                        for (p, gi) in pre.iter().zip(gr.iter_mut()) {
-                            if *p <= 0.0 {
-                                *gi = 0.0;
-                            }
-                        }
+                    for ((p, gi), b) in input
+                        .as_slice()
+                        .iter()
+                        .zip(g.as_slice())
+                        .zip(back.as_mut_slice())
+                    {
+                        *b = if *p <= 0.0 { 0.0 } else { *gi };
                     }
-                    back
                 }
                 Layer::MaxPool(p) => {
-                    let mut back = Matrix::zeros(xs.rows(), p.input_dim);
                     for ((pre, gr), br) in
                         input.rows_iter().zip(g.rows_iter()).zip(back.rows_iter_mut())
                     {
@@ -147,11 +169,46 @@ impl Network {
                             br[winner] += gi;
                         }
                     }
-                    back
                 }
-            };
+            }
         }
-        g
+        &grads[0]
+    }
+
+    /// Evaluates the network on every row of `xs` at once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs.cols() != self.input_dim()`.
+    pub fn eval_batch(&self, xs: &Matrix) -> Matrix {
+        let mut trace = BatchTrace::new();
+        self.forward_batch(xs, &mut trace);
+        trace.acts.pop().expect("trace holds the input")
+    }
+
+    /// The robustness objective `F` (Eq. 2) for every row of `xs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target >= self.output_dim()` or the network has fewer
+    /// than two outputs.
+    pub fn objective_batch(&self, xs: &Matrix, target: usize) -> Vec<f64> {
+        let ys = self.eval_batch(xs);
+        ys.rows_iter().map(|y| crate::margin(y, target)).collect()
+    }
+
+    /// Gradient of the robustness objective for every row of `xs`: one
+    /// [`Network::forward_batch`] plus one
+    /// [`Network::objective_backward_batch`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target >= self.output_dim()`.
+    pub fn objective_gradient_batch(&self, xs: &Matrix, target: usize) -> Matrix {
+        let mut trace = BatchTrace::new();
+        self.forward_batch(xs, &mut trace);
+        self.objective_backward_batch(&mut trace, target);
+        trace.grads.swap_remove(0)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Backpropagation: exact input gradients for piecewise-linear networks.
 
-use crate::{Layer, Network};
+use crate::{Network, Trace};
 
 impl Network {
     /// Gradient of the scalar `seed . N(x)` with respect to the input `x`.
@@ -8,50 +8,18 @@ impl Network {
     /// `seed` weights the output components; passing a one-hot vector gives
     /// the gradient of a single output score. At ReLU kinks (pre-activation
     /// exactly zero) the subgradient `0` is used; at max-pool ties the
-    /// lowest-index winner receives the gradient.
+    /// lowest-index winner receives the gradient. One [`Network::forward`]
+    /// plus one [`Network::backward`].
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.input_dim()` or
     /// `seed.len() != self.output_dim()`.
     pub fn gradient(&self, x: &[f64], seed: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            seed.len(),
-            self.output_dim(),
-            "seed dimension must equal output dimension"
-        );
-        let trace = self.eval_trace(x);
-        let mut g = seed.to_vec();
-        for (idx, layer) in self.layers().iter().enumerate().rev() {
-            let input = &trace[idx];
-            g = match layer {
-                Layer::Affine(a) => a.weights.matvec_transpose(&g),
-                Layer::Relu => input
-                    .iter()
-                    .zip(g.iter())
-                    .map(|(pre, gi)| if *pre > 0.0 { *gi } else { 0.0 })
-                    .collect(),
-                Layer::MaxPool(p) => {
-                    let mut back = vec![0.0; p.input_dim];
-                    for (out_idx, group) in p.groups.iter().enumerate() {
-                        let winner = group
-                            .iter()
-                            .copied()
-                            .max_by(|&a, &b| {
-                                input[a]
-                                    .partial_cmp(&input[b])
-                                    .unwrap_or(std::cmp::Ordering::Equal)
-                                    // Prefer the lower index on ties.
-                                    .then(b.cmp(&a))
-                            })
-                            .expect("max-pool groups are non-empty");
-                        back[winner] += g[out_idx];
-                    }
-                    back
-                }
-            };
-        }
-        g
+        let mut trace = Trace::new();
+        self.forward(x, &mut trace);
+        self.backward(&mut trace, seed);
+        std::mem::take(&mut trace.grads[0])
     }
 
     /// Gradient of the robustness objective `F` (Eq. 2) at `x` for class
@@ -59,24 +27,16 @@ impl Network {
     ///
     /// `F(x) = N(x)_target - N(x)_j*` where `j*` is the strongest other
     /// class at `x`; the gradient seeds `+1` at `target` and `-1` at `j*`.
+    /// One [`Network::forward`] plus one [`Network::objective_backward`].
     ///
     /// # Panics
     ///
     /// Panics if `target >= self.output_dim()`.
     pub fn objective_gradient(&self, x: &[f64], target: usize) -> Vec<f64> {
-        let y = self.eval(x);
-        assert!(target < y.len(), "target class out of range");
-        let rival = y
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| *j != target)
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(j, _)| j)
-            .expect("network must have at least two outputs");
-        let mut seed = vec![0.0; y.len()];
-        seed[target] = 1.0;
-        seed[rival] = -1.0;
-        self.gradient(x, &seed)
+        let mut trace = Trace::new();
+        self.forward(x, &mut trace);
+        self.objective_backward(&mut trace, target);
+        std::mem::take(&mut trace.grads[0])
     }
 }
 

@@ -44,11 +44,24 @@ impl AffineLayer {
     ///
     /// Panics if `x.len() != self.input_dim()`.
     pub fn apply(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = self.weights.matvec(x);
+        let mut y = Vec::new();
+        self.apply_into(x, &mut y);
+        y
+    }
+
+    /// [`AffineLayer::apply`] into a reusable buffer (resized to
+    /// `output_dim()`). The product and the bias add stay two steps, so
+    /// the rounding is that of `matvec` followed by `+ b`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.input_dim()`.
+    pub(crate) fn apply_into(&self, x: &[f64], y: &mut Vec<f64>) {
+        y.resize(self.output_dim(), 0.0);
+        self.weights.matvec_into(x, y);
         for (yi, bi) in y.iter_mut().zip(self.bias.iter()) {
             *yi += bi;
         }
-        y
     }
 }
 
@@ -93,11 +106,24 @@ impl MaxPoolLayer {
     ///
     /// Panics if `x.len() != self.input_dim`.
     pub fn apply(&self, x: &[f64]) -> Vec<f64> {
+        let mut y = Vec::new();
+        self.apply_into(x, &mut y);
+        y
+    }
+
+    /// [`MaxPoolLayer::apply`] into a reusable buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.input_dim`.
+    pub(crate) fn apply_into(&self, x: &[f64], y: &mut Vec<f64>) {
         assert_eq!(x.len(), self.input_dim, "max-pool dimension mismatch");
-        self.groups
-            .iter()
-            .map(|g| g.iter().map(|&i| x[i]).fold(f64::NEG_INFINITY, f64::max))
-            .collect()
+        y.clear();
+        y.extend(
+            self.groups
+                .iter()
+                .map(|g| g.iter().map(|&i| x[i]).fold(f64::NEG_INFINITY, f64::max)),
+        );
     }
 }
 
@@ -135,10 +161,21 @@ impl Layer {
 
     /// Applies the layer to a concrete vector.
     pub fn apply(&self, x: &[f64]) -> Vec<f64> {
+        let mut y = Vec::new();
+        self.apply_into(x, &mut y);
+        y
+    }
+
+    /// [`Layer::apply`] into a reusable buffer: no allocation once `y`
+    /// has the capacity of the layer's output.
+    pub(crate) fn apply_into(&self, x: &[f64], y: &mut Vec<f64>) {
         match self {
-            Layer::Affine(a) => a.apply(x),
-            Layer::Relu => x.iter().map(|v| v.max(0.0)).collect(),
-            Layer::MaxPool(p) => p.apply(x),
+            Layer::Affine(a) => a.apply_into(x, y),
+            Layer::Relu => {
+                y.clear();
+                y.extend(x.iter().map(|v| v.max(0.0)));
+            }
+            Layer::MaxPool(p) => p.apply_into(x, y),
         }
     }
 }

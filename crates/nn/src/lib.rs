@@ -8,7 +8,9 @@
 //! [`AffineLayer`].
 //!
 //! The crate also provides exact input gradients via backpropagation
-//! ([`Network::gradient`]), a softmax cross-entropy SGD trainer ([`train`]),
+//! ([`Network::gradient`]; a loop that needs the value and the gradient
+//! at the same points reuses one [`Trace`] through [`Network::forward`]
+//! and [`Network::backward`]), a softmax cross-entropy SGD trainer ([`train`]),
 //! a plain-text serialization format ([`serialize`]), and the example
 //! networks used in the paper's figures ([`samples`]).
 //!
@@ -44,14 +46,17 @@ mod batch;
 mod grad;
 mod layer;
 mod network;
+mod trace;
 
 pub mod conv;
 pub mod samples;
 pub mod serialize;
 pub mod train;
 
+pub use batch::BatchTrace;
 pub use layer::{AffineLayer, Layer, MaxPoolLayer};
 pub use network::{margin, Network};
+pub use trace::Trace;
 
 /// Error produced when assembling or deserializing a network fails.
 #[derive(Debug, Clone, PartialEq, Eq)]

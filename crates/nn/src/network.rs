@@ -1,4 +1,4 @@
-use crate::{Layer, NetworkError};
+use crate::{Layer, NetworkError, Trace};
 
 /// A feed-forward ReLU network `N : R^n -> R^m`.
 ///
@@ -112,27 +112,19 @@ impl Network {
     ///
     /// Panics if `x.len() != self.input_dim()`.
     pub fn eval(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.input_dim, "input dimension mismatch");
-        let mut v = x.to_vec();
-        for layer in &self.layers {
-            v = layer.apply(&v);
-        }
-        v
+        let mut trace = self.eval_trace(x);
+        trace.pop().expect("trace holds the input")
     }
 
     /// Evaluates the network, returning the vector after every layer.
     ///
     /// `result[0]` is the input itself and `result[i + 1]` is the output of
-    /// layer `i`. Used by backpropagation.
+    /// layer `i`. A loop that evaluates many points should reuse one
+    /// [`Trace`] through [`Network::forward`] instead.
     pub fn eval_trace(&self, x: &[f64]) -> Vec<Vec<f64>> {
-        assert_eq!(x.len(), self.input_dim, "input dimension mismatch");
-        let mut trace = Vec::with_capacity(self.layers.len() + 1);
-        trace.push(x.to_vec());
-        for layer in &self.layers {
-            let next = layer.apply(trace.last().expect("trace is non-empty"));
-            trace.push(next);
-        }
-        trace
+        let mut trace = Trace::new();
+        self.forward(x, &mut trace);
+        trace.acts
     }
 
     /// Returns the class (index of the highest score) assigned to `x`.
@@ -155,8 +147,9 @@ impl Network {
     /// Panics if `target >= self.output_dim()` or the network has fewer
     /// than two outputs.
     pub fn objective(&self, x: &[f64], target: usize) -> f64 {
-        let y = self.eval(x);
-        margin(&y, target)
+        let mut trace = Trace::new();
+        self.forward(x, &mut trace);
+        trace.objective(target)
     }
 
     /// An upper bound on the network's Lipschitz constant (L2 operator

@@ -167,6 +167,15 @@ impl Matrix {
         self.rows += 1;
     }
 
+    /// Makes this a `rows x cols` zero matrix, reusing the buffer: no
+    /// allocation once the capacity has reached `rows * cols`.
+    pub fn reset(&mut self, rows: usize, cols: usize) {
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+        self.rows = rows;
+        self.cols = cols;
+    }
+
     /// Consumes the matrix, returning its flat row-major buffer.
     ///
     /// The buffer can be recycled through a scratch arena and later
@@ -202,19 +211,34 @@ impl Matrix {
     ///
     /// Panics if `x.len() != self.rows()`.
     pub fn matvec_transpose(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.rows, "matvec_transpose dimension mismatch");
         let mut y = vec![0.0; self.cols];
-        for i in 0..self.rows {
-            let xi = x[i];
+        self.matvec_transpose_into(x, &mut y);
+        y
+    }
+
+    /// Transposed matrix-vector product `self^T * x` written into a
+    /// caller-provided buffer (no allocation). The buffer is fully
+    /// overwritten.
+    ///
+    /// Accumulates row by row in ascending row order and skips zero
+    /// entries of `x` (gradients are sparse after ReLU masking); callers
+    /// that need bit-identical gradients rely on that order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.rows()` or `out.len() != self.cols()`.
+    pub fn matvec_transpose_into(&self, x: &[f64], out: &mut [f64]) {
+        assert_eq!(x.len(), self.rows, "matvec_transpose dimension mismatch");
+        assert_eq!(out.len(), self.cols, "matvec_transpose_into output length mismatch");
+        out.fill(0.0);
+        for (&xi, row) in x.iter().zip(self.rows_iter()) {
             if xi == 0.0 {
                 continue;
             }
-            let row = self.row(i);
-            for (yj, a) in y.iter_mut().zip(row.iter()) {
+            for (yj, a) in out.iter_mut().zip(row.iter()) {
                 *yj += xi * a;
             }
         }
-        y
     }
 
     /// Matrix-vector product `self * x` written into a caller-provided
@@ -320,25 +344,6 @@ impl Matrix {
         let (m, n, k) = (self.rows, other.rows, self.cols);
         assert_eq!(out.len(), m * n, "matmul_transb output length mismatch");
         crate::kernels::active().matmul_transb(&self.data, &other.data, m, n, k, out);
-    }
-
-    /// Fused `self * otherᵀ + bias` (bias broadcast along rows): the
-    /// batched affine layer map. Each output row `i` is
-    /// `other · self.row(i) + bias`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != other.cols()` or
-    /// `bias.len() != other.rows()`.
-    pub fn matmul_transb_bias(&self, other: &Matrix, bias: &[f64]) -> Matrix {
-        assert_eq!(bias.len(), other.rows, "matmul_transb_bias bias mismatch");
-        let mut out = self.matmul_transb(other);
-        for row in out.rows_iter_mut() {
-            for (o, b) in row.iter_mut().zip(bias.iter()) {
-                *o += b;
-            }
-        }
-        out
     }
 
     /// Returns the transpose of this matrix.
@@ -533,6 +538,16 @@ mod tests {
         let mut out = vec![f64::NAN; 4];
         a.gemm_into(&b, &mut out);
         assert_eq!(out, vec![2.0, 1.0, 4.0, 3.0]);
+    }
+
+    #[test]
+    fn matvec_transpose_into_overwrites_stale_buffer() {
+        let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
+        let x = [0.5, 0.0];
+        let mut out = vec![f64::NAN; 3];
+        m.matvec_transpose_into(&x, &mut out);
+        assert_eq!(out, m.matvec_transpose(&x));
+        assert_eq!(out, vec![0.5, 1.0, 1.5]);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use baselines::ai2::Ai2;
 use baselines::reluplex::Reluplex;
-use baselines::reluval::ReluVal;
+use baselines::reluval::{ReluVal, ReluValConfig};
 use baselines::ToolVerdict;
 use charon::{RobustnessProperty, Verdict, Verifier};
 use domains::Bounds;
@@ -14,6 +14,18 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const BUDGET: Duration = Duration::from_secs(6);
+
+/// ReluVal cannot falsify, so on a refutable property it bisects until a
+/// budget runs out. A node budget ends those runs after the same work on
+/// every machine (a few thousand regions take well under a second) with
+/// the same `Timeout` verdict the wall clock gave; `BUDGET` stays as the
+/// backstop.
+fn reluval() -> ReluVal {
+    ReluVal::new(ReluValConfig {
+        max_nodes: 5_000,
+        ..ReluValConfig::default()
+    })
+}
 
 /// Enumerate all tool verdicts on one property.
 fn all_verdicts(net: &nn::Network, prop: &RobustnessProperty) -> Vec<(String, ToolVerdict)> {
@@ -35,7 +47,7 @@ fn all_verdicts(net: &nn::Network, prop: &RobustnessProperty) -> Vec<(String, To
         ),
         (
             "reluval".into(),
-            ReluVal::default().analyze(net, prop, BUDGET),
+            reluval().analyze(net, prop, BUDGET),
         ),
         (
             "reluplex".into(),
@@ -97,7 +109,7 @@ fn ai2_never_falsifies_reluval_never_falsifies() {
             ToolVerdict::Falsified(_)
         ));
         assert!(!matches!(
-            ReluVal::default().analyze(&net, &prop, BUDGET),
+            reluval().analyze(&net, &prop, BUDGET),
             ToolVerdict::Falsified(_)
         ));
     }
