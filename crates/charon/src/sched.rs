@@ -43,9 +43,11 @@ pub(crate) struct Region {
     /// Split depth (0 for a property's root region).
     pub depth: usize,
     /// The parent's best attack point `x*`, shared by both children of a
-    /// split; the child's counterexample search warm-starts from it.
-    /// `None` for roots, resumed checkpoint regions and the children of
-    /// a coarse (interval-retry) split, which run the cold search.
+    /// split: the child's domain choice sees it clamped into the child,
+    /// and the child's counterexample search, run only if the domain
+    /// cannot prove the child, warm-starts from it. `None` for roots,
+    /// resumed checkpoint regions and the children of a coarse
+    /// (interval-retry) split, which attack cold before analyzing.
     pub incumbent: Option<Arc<[f64]>>,
 }
 

@@ -99,7 +99,7 @@ pub enum TraceEvent {
     /// One attack phase finished: center PGD, FGSM-seeded PGD, coordinate
     /// descent or the batched random-restart PGD on a region without an
     /// incumbent; warm PGD from the parent's `x*`, then coordinate
-    /// descent, on a split child.
+    /// descent, on a split child that its domain did not prove.
     Attack {
         /// Ordinal of the region attacked.
         ordinal: usize,

@@ -12,6 +12,7 @@
 //! 4. budget-limited runs emit a [`Checkpoint`] from which
 //!    [`Verifier::resume`] continues without revisiting verified regions.
 
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -91,8 +92,8 @@ pub struct VerifierConfig {
     /// `ResourceLimit`).
     pub max_regions: usize,
     /// Random restarts for the counterexample search of a region without
-    /// a parent. Split children warm-start from the parent's `x*` and run
-    /// no restarts.
+    /// a parent. Split children that their domain cannot prove attack
+    /// warm from the parent's `x*` and run no restarts.
     pub restarts: usize,
     /// Base RNG seed (kept fixed for reproducibility).
     pub seed: u64,
@@ -956,8 +957,9 @@ pub(crate) enum RegionOutcome {
     Refuted(Counterexample),
     /// Undecided; recurse on the two halves. `dim`/`at` describe the cut
     /// (for certificate split records); `incumbent` is the finite `x*` the
-    /// policy split on, which both children's attacks warm-start from
-    /// (`None` from the coarse retry, and with counterexample search off).
+    /// policy split on, which both children analyze on and warm-start
+    /// their attacks from (`None` from the coarse retry, and with
+    /// counterexample search off).
     Split {
         left: Bounds,
         right: Bounds,
@@ -1015,7 +1017,7 @@ pub(crate) fn guarded_region_step(
 
 /// One full-precision region step (Algorithm 1 lines 2-12). May panic;
 /// always called through [`guarded_region_step`]. `incumbent` is the
-/// parent's `x*` for a split child; the attack warm-starts from it.
+/// parent's `x*` for a split child (see [`attack_and_analyze`]).
 fn region_step(
     env: &StepEnv<'_>,
     region: &Bounds,
@@ -1024,11 +1026,7 @@ fn region_step(
     stats: &mut VerifyStats,
     ws: &mut Workspace,
 ) -> StepResult {
-    let config = env.config;
-    let net = env.net;
-    let target = env.target;
-
-    if let Some(plan) = &config.faults {
+    if let Some(plan) = &env.config.faults {
         if plan.fire(FaultSite::WorkerPanic, ordinal) {
             emit(env.trace, || TraceEvent::FaultTriggered {
                 site: FaultSite::WorkerPanic.as_str().to_string(),
@@ -1044,9 +1042,91 @@ fn region_step(
             std::thread::sleep(Duration::from_millis(25));
         }
     }
+    match attack_and_analyze(env, region, incumbent, ordinal, stats, ws) {
+        ControlFlow::Break(decided) => decided,
+        ControlFlow::Continue((x_star, objective)) => {
+            split_step(env, region, x_star, objective, ordinal, stats)
+        }
+    }
+}
 
-    // Line 2: x* <- Minimize(I, F), warm-started from the parent's x* on
-    // a split child.
+/// Runs the attack and the analysis of a region in the order its kind
+/// calls for; breaks with a decision, or continues with the attack's
+/// finite `(x*, F(x*))` for the split.
+///
+/// Regions without an incumbent (property roots, resumed checkpoint
+/// regions, children of the coarse retry, and every region when
+/// counterexample search is off) keep Algorithm 1's order: attack, then
+/// analyze. A split child analyzes first, with the parent's `x*` clamped
+/// into it as the policy's context, and attacks only if the domain
+/// cannot prove it. Either way every region that splits was attacked, so
+/// δ-completeness holds and the split is placed on the region's own `x*`.
+fn attack_and_analyze(
+    env: &StepEnv<'_>,
+    region: &Bounds,
+    incumbent: Option<&[f64]>,
+    ordinal: usize,
+    stats: &mut VerifyStats,
+    ws: &mut Workspace,
+) -> ControlFlow<StepResult, (Vec<f64>, f64)> {
+    if let Some((x0, f0)) = child_context(env, region, incumbent) {
+        delta_check(env, region, &x0, f0)?;
+        analyze_step(env, region, &x0, f0, ordinal, stats, ws)?;
+        return attack_step(env, region, incumbent, ordinal, stats);
+    }
+    let (x_star, objective) = attack_step(env, region, incumbent, ordinal, stats)?;
+    analyze_step(env, region, &x_star, objective, ordinal, stats, ws)?;
+    ControlFlow::Continue((x_star, objective))
+}
+
+/// A split child's analysis context: the incumbent clamped into the
+/// region and `F` there. `None` without an incumbent, or when `F` is
+/// non-finite there (the region then runs Algorithm 1's order, whose
+/// numeric guard handles it).
+fn child_context(
+    env: &StepEnv<'_>,
+    region: &Bounds,
+    incumbent: Option<&[f64]>,
+) -> Option<(Vec<f64>, f64)> {
+    let mut x0 = incumbent?.to_vec();
+    region.clamp(&mut x0);
+    let f0 = env.net.objective(&x0, env.target);
+    f0.is_finite().then_some((x0, f0))
+}
+
+/// Line 3 (Eq. 4): F(x) < δ refutes — but only counterexamples that
+/// survive validation (finite, clamped in-region, margin re-checked with
+/// a directed upper bound) are ever reported. The `<=` here is a cheap
+/// gate only: validation is strict, so a tie cannot slip through.
+fn delta_check(
+    env: &StepEnv<'_>,
+    region: &Bounds,
+    x: &[f64],
+    objective: f64,
+) -> ControlFlow<StepResult> {
+    if objective <= env.config.delta {
+        if let Some(cex) =
+            validated_counterexample(env.net, region, env.target, x, env.config.delta)
+        {
+            return ControlFlow::Break(StepResult::Outcome(RegionOutcome::Refuted(cex)));
+        }
+    }
+    ControlFlow::Continue(())
+}
+
+/// Lines 2-3: x* <- Minimize(I, F), warm-started from the parent's x* on
+/// a split child, then the δ-check. Continues with a finite
+/// `(x*, F(x*))`; with counterexample search off, the region center.
+fn attack_step(
+    env: &StepEnv<'_>,
+    region: &Bounds,
+    incumbent: Option<&[f64]>,
+    ordinal: usize,
+    stats: &mut VerifyStats,
+) -> ControlFlow<StepResult, (Vec<f64>, f64)> {
+    let config = env.config;
+    let net = env.net;
+    let target = env.target;
     let (mut x_star, mut objective) = if config.counterexample_search {
         stats.attacks += 1;
         let attack_start = Instant::now();
@@ -1081,16 +1161,7 @@ fn region_step(
             objective = f64::NEG_INFINITY;
         }
     }
-
-    // Line 3 (Eq. 4): F(x*) < δ refutes — but only counterexamples that
-    // survive validation (finite, clamped in-region, margin re-checked
-    // with a directed upper bound) are ever reported. The `<=` here is a
-    // cheap gate only: validation is strict, so a tie cannot slip through.
-    if objective <= config.delta {
-        if let Some(cex) = validated_counterexample(net, region, target, &x_star, config.delta) {
-            return StepResult::Outcome(RegionOutcome::Refuted(cex));
-        }
-    }
+    delta_check(env, region, &x_star, objective)?;
 
     // Numeric guard: a non-finite attack result must not reach the policy
     // featurization. Degrade to the region center; if even that evaluates
@@ -1099,17 +1170,32 @@ fn region_step(
         let center = region.center();
         let f = net.objective(&center, target);
         if !f.is_finite() {
-            return StepResult::Poisoned("attack");
+            return ControlFlow::Break(StepResult::Poisoned("attack"));
         }
         x_star = center;
         objective = f;
-        if objective <= config.delta {
-            if let Some(cex) = validated_counterexample(net, region, target, &x_star, config.delta)
-            {
-                return StepResult::Outcome(RegionOutcome::Refuted(cex));
-            }
-        }
+        delta_check(env, region, &x_star, objective)?;
     }
+    ControlFlow::Continue((x_star, objective))
+}
+
+/// Lines 4-7: the Lipschitz pre-filter, the exact path for degenerate
+/// regions, then the policy's domain on context `(x, F(x))` with the
+/// interval retry as the first rung of the degradation ladder. Breaks
+/// with a decision or poisoning; continues if the region is undecided.
+fn analyze_step(
+    env: &StepEnv<'_>,
+    region: &Bounds,
+    x: &[f64],
+    objective: f64,
+    ordinal: usize,
+    stats: &mut VerifyStats,
+    ws: &mut Workspace,
+) -> ControlFlow<StepResult> {
+    let config = env.config;
+    let net = env.net;
+    let target = env.target;
+    let decided = |outcome| ControlFlow::Break(StepResult::Outcome(outcome));
 
     // Lipschitz pre-filter: if the center margin dominates the worst-case
     // change across the region, the region is safe.
@@ -1118,7 +1204,7 @@ fn region_step(
         let center_margin = net.objective(&center, target);
         let slack = center_margin - env.objective_lipschitz * 0.5 * region.diameter();
         if slack > 0.0 {
-            return StepResult::Outcome(RegionOutcome::Verified {
+            return decided(RegionOutcome::Verified {
                 domain: "lipschitz".to_string(),
                 margin: slack,
             });
@@ -1130,18 +1216,20 @@ fn region_step(
     if region.widths().iter().all(|w| *w <= f64::EPSILON) {
         stats.analyze_calls += 1;
         return match timed_interval_analysis(env, region, ordinal, stats, ws) {
-            (AnalysisOutcome::Proved, margin) => StepResult::Outcome(RegionOutcome::Verified {
+            (AnalysisOutcome::Proved, margin) => decided(RegionOutcome::Verified {
                 domain: DomainChoice::interval().to_string(),
                 margin,
             }),
-            (AnalysisOutcome::Poisoned, _) => StepResult::Poisoned("transformer"),
+            (AnalysisOutcome::Poisoned, _) => {
+                ControlFlow::Break(StepResult::Poisoned("transformer"))
+            }
             (AnalysisOutcome::Inconclusive, _) => {
                 // Exact analysis failed on a point region: its center is a
                 // true counterexample (modulo validation).
                 match validated_counterexample(net, region, target, &region.center(), config.delta)
                 {
-                    Some(cex) => StepResult::Outcome(RegionOutcome::Refuted(cex)),
-                    None => StepResult::Outcome(RegionOutcome::Unsplittable),
+                    Some(cex) => decided(RegionOutcome::Refuted(cex)),
+                    None => decided(RegionOutcome::Unsplittable),
                 }
             }
         };
@@ -1152,7 +1240,7 @@ fn region_step(
         net,
         region,
         target,
-        x_star: &x_star,
+        x_star: x,
         objective,
     };
     let policy_start = Instant::now();
@@ -1192,14 +1280,14 @@ fn region_step(
     );
     match selection {
         SelectionResult::Verified { margin } => {
-            return StepResult::Outcome(RegionOutcome::Verified {
+            return decided(RegionOutcome::Verified {
                 domain: choice.to_string(),
                 margin,
             })
         }
         SelectionResult::Violated(point) => {
             if let Some(cex) = validated_counterexample(net, region, target, &point, config.delta) {
-                return StepResult::Outcome(RegionOutcome::Refuted(cex));
+                return decided(RegionOutcome::Refuted(cex));
             }
             // The solver's witness did not validate; treat as
             // inconclusive and fall through to the split.
@@ -1210,19 +1298,39 @@ fn region_step(
             stats.analyze_calls += 1;
             match timed_interval_analysis(env, region, ordinal, stats, ws) {
                 (AnalysisOutcome::Proved, margin) => {
-                    return StepResult::Outcome(RegionOutcome::Verified {
+                    return decided(RegionOutcome::Verified {
                         domain: DomainChoice::interval().to_string(),
                         margin,
                     })
                 }
-                (AnalysisOutcome::Poisoned, _) => return StepResult::Poisoned("transformer"),
+                (AnalysisOutcome::Poisoned, _) => {
+                    return ControlFlow::Break(StepResult::Poisoned("transformer"))
+                }
                 (AnalysisOutcome::Inconclusive, _) => {}
             }
         }
         SelectionResult::Inconclusive => {}
     }
+    ControlFlow::Continue(())
+}
 
-    // Lines 8-12: split and recurse on both halves.
+/// Lines 8-12: split the undecided region on its attack's `x*` and
+/// recurse on both halves, which inherit that `x*` as their incumbent.
+fn split_step(
+    env: &StepEnv<'_>,
+    region: &Bounds,
+    x_star: Vec<f64>,
+    objective: f64,
+    ordinal: usize,
+    stats: &mut VerifyStats,
+) -> StepResult {
+    let ctx = PolicyContext {
+        net: env.net,
+        region,
+        target: env.target,
+        x_star: &x_star,
+        objective,
+    };
     let policy_start = Instant::now();
     let plan = env.policy.choose_split(&ctx);
     stats
@@ -1252,8 +1360,8 @@ fn region_step(
         right: b,
         dim,
         at,
-        // After the numeric guard above, x* is finite.
-        incumbent: config.counterexample_search.then(|| Arc::from(x_star)),
+        // After the attack's numeric guard, x* is finite.
+        incumbent: env.config.counterexample_search.then(|| Arc::from(x_star)),
     })
 }
 
@@ -1989,12 +2097,13 @@ mod tests {
         assert!(state.stop.load(Ordering::Acquire));
     }
 
-    /// `(ordinal, depth)` per popped region and `(ordinal, phase)` per
-    /// attack phase.
+    /// `(ordinal, depth)` per popped region, and per region ordinal the
+    /// steps it ran in order: attack phases by name, propagations by
+    /// outcome, and `split` for a bisection.
     #[derive(Default)]
     struct PhaseLog {
         pops: Vec<(usize, usize)>,
-        phases: Vec<(usize, String)>,
+        steps: Vec<(usize, String)>,
     }
 
     #[derive(Default)]
@@ -2007,39 +2116,55 @@ mod tests {
 
         fn record(&self, event: &TraceEvent) {
             let mut log = self.0.lock().unwrap();
-            match event {
-                TraceEvent::RegionPopped { ordinal, depth } => log.pops.push((*ordinal, *depth)),
-                TraceEvent::Attack { ordinal, phase, .. } => {
-                    log.phases.push((*ordinal, phase.clone()))
+            let step = match event {
+                TraceEvent::RegionPopped { ordinal, depth } => {
+                    log.pops.push((*ordinal, *depth));
+                    return;
                 }
-                _ => {}
-            }
+                TraceEvent::Attack { ordinal, phase, .. } => (*ordinal, phase.clone()),
+                TraceEvent::Propagation {
+                    ordinal, outcome, ..
+                } => (*ordinal, outcome.clone()),
+                TraceEvent::Bisection { ordinal, .. } => (*ordinal, "split".to_string()),
+                _ => return,
+            };
+            log.steps.push(step);
         }
     }
 
+    const COLD: [&str; 4] = ["center", "fgsm", "coordinate", "restarts"];
+
     impl PhaseSink {
-        /// Checks that every popped region ran either the cold search or
-        /// the warm one, and returns the `(ordinal, depth)` of the regions
-        /// that ran the cold search.
+        /// The steps region `ordinal` ran, in order.
+        fn steps(&self, ordinal: usize) -> Vec<String> {
+            let log = self.0.lock().unwrap();
+            let steps = log.steps.iter().filter(|(o, _)| *o == ordinal);
+            steps.map(|(_, s)| s.clone()).collect()
+        }
+
+        /// Checks the order of every popped region of a robust property
+        /// (no refutation): a region either runs the cold search before
+        /// any propagation, or is a split child that the domain proves
+        /// without attacking, or that attacks warm after an inconclusive
+        /// propagation. Every split follows an attack. Returns the
+        /// `(ordinal, depth)` of the regions that ran the cold search.
         fn cold_regions(&self) -> Vec<(usize, usize)> {
-            let PhaseLog { pops, phases } = &*self.0.lock().unwrap();
+            let pops = self.0.lock().unwrap().pops.clone();
             assert!(!pops.is_empty());
             let mut cold = Vec::new();
-            for &(ordinal, depth) in pops {
-                let ran: Vec<&str> = phases
-                    .iter()
-                    .filter(|(o, _)| *o == ordinal)
-                    .map(|(_, p)| p.as_str())
-                    .collect();
-                if ran == ["center", "fgsm", "coordinate", "restarts"] {
+            for (ordinal, depth) in pops {
+                let ran = self.steps(ordinal);
+                let at = format!("region {ordinal} at depth {depth}: {ran:?}");
+                if ran.starts_with(&COLD.map(String::from)) {
                     cold.push((ordinal, depth));
                 } else {
-                    assert_eq!(
-                        ran,
-                        ["warm", "coordinate"],
-                        "region {ordinal} at depth {depth}"
+                    assert!(
+                        ran == ["proved"] || ran == ["inconclusive", "warm", "coordinate", "split"],
+                        "{at}"
                     );
                 }
+                let attacked = ran.iter().any(|s| s == "warm" || s == "center");
+                assert!(attacked || !ran.iter().any(|s| s == "split"), "{at}");
             }
             cold
         }
@@ -2061,9 +2186,12 @@ mod tests {
         assert_eq!(run.verdict, Verdict::Verified);
         assert!(run.stats.splits > 0, "need a split tree");
         assert_eq!(sink.cold_regions(), vec![(0, 0)]);
+        // Both kinds of child occur: proved unattacked, and split again.
+        assert!(run.stats.attacks > 1);
+        assert!(run.stats.attacks < run.stats.regions);
 
         // A checkpoint keeps no incumbents: each resumed region runs the
-        // cold search once, deep as it is, and its children warm-start.
+        // cold search once, deep as it is, and its children analyze first.
         let mut limited = verifier.clone();
         limited.config_mut().max_regions = 2;
         let ckpt = limited
@@ -2082,29 +2210,176 @@ mod tests {
         assert_eq!(sink.cold_regions().len(), ckpt.pending.len());
     }
 
-    #[test]
-    fn poisoned_parent_attack_hands_its_children_a_finite_incumbent() {
+    /// A fixed-domain policy that records the `(x*, F(x*))` context of
+    /// each domain and split decision.
+    struct RecordingPolicy {
+        inner: FixedPolicy,
+        domain: Mutex<Vec<(Vec<f64>, f64)>>,
+        split: Mutex<Vec<(Vec<f64>, f64)>>,
+    }
+
+    impl RecordingPolicy {
+        fn new(choice: DomainChoice) -> Self {
+            RecordingPolicy {
+                inner: FixedPolicy::new(choice),
+                domain: Mutex::new(Vec::new()),
+                split: Mutex::new(Vec::new()),
+            }
+        }
+    }
+
+    impl Policy for RecordingPolicy {
+        fn choose_domain(&self, ctx: &PolicyContext<'_>) -> DomainSelection {
+            self.domain.lock().push((ctx.x_star.to_vec(), ctx.objective));
+            self.inner.choose_domain(ctx)
+        }
+
+        fn choose_split(&self, ctx: &PolicyContext<'_>) -> crate::policy::SplitPlan {
+            self.split.lock().push((ctx.x_star.to_vec(), ctx.objective));
+            self.inner.choose_split(ctx)
+        }
+    }
+
+    /// Runs one guarded step of `region` on the XOR network (target 1) as
+    /// region 0, with `fault` injected there; returns the outcome, the
+    /// step's stats and the steps it traced.
+    fn xor_step(
+        policy: &dyn Policy,
+        fault: Option<FaultSite>,
+        region: &Bounds,
+        incumbent: Option<&[f64]>,
+    ) -> (Result<RegionOutcome, VerifyError>, VerifyStats, Vec<String>) {
         let net = samples::xor_network();
-        let region = Bounds::new(vec![0.3, 0.3], vec![0.7, 0.7]);
         let config = VerifierConfig {
-            faults: Some(Arc::new(FaultPlan::new().inject(FaultSite::AttackNan, 0))),
+            faults: fault.map(|site| Arc::new(FaultPlan::new().inject(site, 0))),
             ..VerifierConfig::default()
         };
         let minimizer = Minimizer::new(0).with_restarts(config.restarts);
-        let policy = FixedPolicy::new(DomainChoice::interval());
+        let sink = PhaseSink::default();
         let env = StepEnv {
             net: &net,
             target: 1,
             minimizer: &minimizer,
-            policy: &policy,
+            policy,
             config: &config,
             deadline: Instant::now() + Duration::from_secs(60),
             objective_lipschitz: f64::INFINITY,
-            trace: &crate::telemetry::NullSink,
+            trace: &sink,
         };
         let mut stats = VerifyStats::default();
         let outcome =
-            guarded_region_step(&env, &region, None, 0, &mut stats, &mut Workspace::new());
+            guarded_region_step(&env, region, incumbent, 0, &mut stats, &mut Workspace::new());
+        let steps = sink.steps(0);
+        (outcome, stats, steps)
+    }
+
+    // On the XOR network, F = 2s - 1 for s = x0 + x1 <= 1 and 3 - 2s
+    // above. Intervals cannot prove [0.3, 0.5] x [0.3, 0.7] (s up to 1.2)
+    // but prove [0.3, 0.4]^2 (s at most 0.8).
+
+    #[test]
+    fn split_child_chooses_its_domain_on_the_clamped_incumbent_and_splits_on_its_own_attack() {
+        let net = samples::xor_network();
+        let region = Bounds::new(vec![0.3, 0.3], vec![0.5, 0.7]);
+        let incumbent = [0.7, 0.7];
+        let policy = RecordingPolicy::new(DomainChoice::interval());
+        let (outcome, stats, steps) = xor_step(&policy, None, &region, Some(&incumbent));
+        let clamped = vec![0.5, 0.7];
+        assert_eq!(
+            *policy.domain.lock(),
+            vec![(clamped.clone(), net.objective(&clamped, 1))]
+        );
+        assert_eq!(steps, ["inconclusive", "warm", "coordinate", "split"]);
+        assert_eq!(stats.attacks, 1);
+
+        // The split sees the child's own warm attack, and hands its x*
+        // down to both grandchildren.
+        let attack = Minimizer::new(0)
+            .with_restarts(VerifierConfig::default().restarts)
+            .minimize_from(&net, &region, 1, Some(&incumbent));
+        assert_eq!(
+            *policy.split.lock(),
+            vec![(attack.point.clone(), attack.objective)]
+        );
+        match outcome {
+            Ok(RegionOutcome::Split {
+                incumbent: Some(x), ..
+            }) => assert_eq!(&*x, attack.point.as_slice()),
+            other => panic!("expected a split with an incumbent, got {other:?}"),
+        }
+
+        // A child the domain proves is never attacked.
+        let proved = Bounds::new(vec![0.3, 0.3], vec![0.4, 0.4]);
+        let policy = RecordingPolicy::new(DomainChoice::interval());
+        let (outcome, stats, steps) = xor_step(&policy, None, &proved, Some(&incumbent));
+        assert!(matches!(outcome, Ok(RegionOutcome::Verified { .. })));
+        assert_eq!(steps, ["proved"]);
+        assert_eq!(stats.attacks, 0);
+        let clamped = vec![0.4, 0.4];
+        assert_eq!(
+            *policy.domain.lock(),
+            vec![(clamped.clone(), net.objective(&clamped, 1))]
+        );
+        assert!(policy.split.lock().is_empty());
+    }
+
+    #[test]
+    fn a_validating_clamped_incumbent_refutes_a_child_without_an_attack() {
+        let region = Bounds::new(vec![0.0, 0.0], vec![0.5, 0.5]);
+        let policy = RecordingPolicy::new(DomainChoice::interval());
+        let (outcome, stats, steps) = xor_step(&policy, None, &region, Some(&[0.2, -0.3]));
+        match outcome {
+            Ok(RegionOutcome::Refuted(cex)) => {
+                assert_eq!(cex.point, vec![0.2, 0.0]);
+                assert!(cex.is_true_violation());
+            }
+            other => panic!("expected a refutation, got {other:?}"),
+        }
+        assert!(steps.is_empty(), "ran {steps:?}");
+        assert_eq!((stats.attacks, stats.analyze_calls), (0, 0));
+        assert!(policy.domain.lock().is_empty());
+    }
+
+    #[test]
+    fn a_poisoned_child_propagation_takes_the_interval_retry_then_attacks_and_splits() {
+        let region = Bounds::new(vec![0.3, 0.3], vec![0.5, 0.7]);
+        let policy = RecordingPolicy::new(DomainChoice::zonotope());
+        let (outcome, stats, steps) = xor_step(
+            &policy,
+            Some(FaultSite::TransformerNan),
+            &region,
+            Some(&[0.7, 0.7]),
+        );
+        assert!(matches!(outcome, Ok(RegionOutcome::Split { .. })), "{outcome:?}");
+        assert_eq!(
+            steps,
+            ["poisoned", "inconclusive", "warm", "coordinate", "split"]
+        );
+        assert_eq!((stats.attacks, stats.analyze_calls), (1, 2));
+    }
+
+    #[test]
+    fn a_poisoned_child_attack_splits_on_the_center() {
+        let region = Bounds::new(vec![0.3, 0.3], vec![0.5, 0.7]);
+        let policy = RecordingPolicy::new(DomainChoice::interval());
+        let (outcome, _, steps) =
+            xor_step(&policy, Some(FaultSite::AttackNan), &region, Some(&[0.7, 0.7]));
+        assert_eq!(steps, ["inconclusive", "warm", "coordinate", "split"]);
+        let center = region.center();
+        assert_eq!(policy.split.lock()[0].0, center);
+        match outcome {
+            Ok(RegionOutcome::Split {
+                incumbent: Some(x), ..
+            }) => assert_eq!(&*x, center.as_slice()),
+            other => panic!("expected a split with an incumbent, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn poisoned_parent_attack_hands_its_children_a_finite_incumbent() {
+        let region = Bounds::new(vec![0.3, 0.3], vec![0.7, 0.7]);
+        let policy = FixedPolicy::new(DomainChoice::interval());
+        let (outcome, _, _) = xor_step(&policy, Some(FaultSite::AttackNan), &region, None);
         match outcome {
             Ok(RegionOutcome::Split {
                 incumbent: Some(x), ..
