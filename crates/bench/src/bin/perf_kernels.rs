@@ -268,13 +268,19 @@ fn bench_region_throughput(width: usize, depth: usize, reps: usize) -> Sample {
     let fast_s = time_median(reps, || {
         let mut e = Zonotope::from_bounds(&region);
         for layer in net.layers() {
-            let next = match layer {
-                nn::Layer::Affine(a) => e.affine_ws(a, &mut ws),
+            e = match layer {
+                nn::Layer::Affine(a) => {
+                    let next = e.affine_ws(a, &mut ws);
+                    e.recycle(&mut ws);
+                    next
+                }
                 nn::Layer::Relu => e.relu(),
-                nn::Layer::MaxPool(p) => e.max_pool(p),
+                nn::Layer::MaxPool(p) => {
+                    let next = e.max_pool(p);
+                    e.recycle(&mut ws);
+                    next
+                }
             };
-            let old = std::mem::replace(&mut e, next);
-            old.recycle(&mut ws);
         }
         let margin = e.margin_lower_bound(0);
         e.recycle(&mut ws);

@@ -1582,25 +1582,31 @@ pub(crate) fn run_selection(
             };
             // Propagate a zonotope, meeting each ReLU input with the
             // LP-refined box (sound: both over-approximate the truth).
-            // Superseded elements are recycled into the worker workspace.
+            // Superseded elements are recycled into the worker workspace;
+            // the ReLU rewrites the element it is handed in place.
             use domains::AbstractElement as _;
             let mut element = domains::Zonotope::from_bounds(region);
             let mut relu_idx = 0;
             for layer in net.layers() {
-                let next = match layer {
-                    nn::Layer::Affine(a) => element.affine_ws(a, ws),
+                element = match layer {
+                    nn::Layer::Affine(a) => {
+                        let next = element.affine_ws(a, ws);
+                        element.recycle(ws);
+                        next
+                    }
                     nn::Layer::Relu => {
                         if let Some(met) = element.meet_box(&refined.relu_inputs[relu_idx]) {
-                            let old = std::mem::replace(&mut element, met);
-                            old.recycle(ws);
+                            std::mem::replace(&mut element, met).recycle(ws);
                         }
                         relu_idx += 1;
                         element.relu()
                     }
-                    nn::Layer::MaxPool(p) => element.max_pool(p),
+                    nn::Layer::MaxPool(p) => {
+                        let next = element.max_pool(p);
+                        element.recycle(ws);
+                        next
+                    }
                 };
-                let old = std::mem::replace(&mut element, next);
-                old.recycle(ws);
             }
             let margin = element.margin_lower_bound(target);
             let poisoned = element.is_poisoned();

@@ -295,7 +295,6 @@ fn encode(net: &Network, region: &Bounds) -> Encoding {
                 interval = next_interval;
             }
             Layer::Relu => {
-                let next_interval = interval.relu();
                 let pre = interval.bounds();
                 let first = bounds.len();
                 for (slot, &z_var) in current.iter().enumerate() {
@@ -316,7 +315,7 @@ fn encode(net: &Network, region: &Bounds) -> Encoding {
                     }
                 }
                 current = (first..first + current.len()).collect();
-                interval = next_interval;
+                interval = interval.relu();
             }
             Layer::MaxPool(_) => unreachable!("max-pool rejected before encoding"),
         }

@@ -108,7 +108,7 @@ impl DeepPoly {
                     state.push_affine(a, &crate::AbstractElement::bounds(&boxes));
                 }
                 Layer::Relu => {
-                    boxes = crate::AbstractElement::relu(&boxes);
+                    boxes = crate::AbstractElement::relu(boxes);
                     state.push_relu(&crate::AbstractElement::bounds(&boxes));
                 }
                 Layer::MaxPool(p) => {

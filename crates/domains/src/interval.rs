@@ -103,11 +103,11 @@ impl AbstractElement for Interval {
         ws.give(self.upper);
     }
 
-    fn relu(&self) -> Self {
-        Interval {
-            lower: self.lower.iter().map(|l| l.max(0.0)).collect(),
-            upper: self.upper.iter().map(|u| u.max(0.0)).collect(),
+    fn relu(mut self) -> Self {
+        for v in self.lower.iter_mut().chain(self.upper.iter_mut()) {
+            *v = v.max(0.0);
         }
+        self
     }
 
     fn max_pool(&self, layer: &MaxPoolLayer) -> Self {

@@ -216,7 +216,11 @@ pub trait AbstractElement: Clone + std::fmt::Debug + Sized {
     fn recycle(self, _ws: &mut Workspace) {}
 
     /// Abstract ReLU transformer (applied to every coordinate).
-    fn relu(&self) -> Self;
+    ///
+    /// Consumes the element: the transformers rewrite its buffers in
+    /// place, so propagation never copies the pre-activation element.
+    /// Callers that still need the input clone it first.
+    fn relu(self) -> Self;
 
     /// Abstract max-pool transformer.
     fn max_pool(&self, layer: &nn::MaxPoolLayer) -> Self;
@@ -268,9 +272,10 @@ pub fn propagate<E: AbstractElement>(net: &Network, element: E) -> E {
 ///
 /// Affine layers use [`AbstractElement::affine_ws`] and each intermediate
 /// element's buffers are recycled as soon as the next layer's output
-/// exists. Returns `None` as soon as any intermediate element contains NaN
-/// (see [`AbstractElement::is_poisoned`]); the result of further
-/// propagation would be meaningless.
+/// exists; ReLU layers rewrite the element they are handed in place.
+/// Returns `None` as soon as any intermediate element contains NaN (see
+/// [`AbstractElement::is_poisoned`]); the result of further propagation
+/// would be meaningless.
 ///
 /// Every call times its layers: afterwards [`Workspace::layer_seconds`]
 /// holds the wall-clock seconds of each layer transformer (plus its
@@ -301,13 +306,19 @@ pub fn propagate_checked_ws<E: AbstractElement>(
     let mut current = element;
     let mut start = Instant::now();
     for layer in net.layers() {
-        let next = match layer {
-            Layer::Affine(a) => current.affine_ws(a, ws),
+        current = match layer {
+            Layer::Affine(a) => {
+                let next = current.affine_ws(a, ws);
+                current.recycle(ws);
+                next
+            }
             Layer::Relu => current.relu(),
-            Layer::MaxPool(p) => current.max_pool(p),
+            Layer::MaxPool(p) => {
+                let next = current.max_pool(p);
+                current.recycle(ws);
+                next
+            }
         };
-        current.recycle(ws);
-        current = next;
         let poisoned = current.is_poisoned();
         let end = Instant::now();
         ws.layer_seconds.push((end - start).as_secs_f64());
@@ -509,9 +520,42 @@ fn margin_outcome<E: AbstractElement>(
 ///
 /// This trait is an implementation detail of [`Powerset`] but is exposed so
 /// downstream code can implement new base domains.
+///
+/// # Column contract
+///
+/// The powerset ReLU caches the bounds of every coordinate once and keeps
+/// using them while it rewrites other coordinates. That is sound, and the
+/// result bit-identical to re-reading the bounds, because every update
+/// here is local to one coordinate:
+///
+/// * [`project_zero`](ReluCoordOps::project_zero) and
+///   [`relax_relu_coord`](ReluCoordOps::relax_relu_coord) change only
+///   coordinate `i` (for a zonotope: the centre entry and generator
+///   column `i`);
+/// * any generator row they append is zero outside column `i`.
+///
+/// So after either call, [`coord_bounds`](ReluCoordOps::coord_bounds) of
+/// every coordinate `j != i` returns the same bits as before. The meets
+/// carry no such promise: they may move every coordinate.
 pub trait ReluCoordOps: AbstractElement {
     /// Concrete bounds of coordinate `i`.
     fn coord_bounds(&self, i: usize) -> (f64, f64);
+
+    /// Concrete bounds of every coordinate, written into `lower` and
+    /// `upper` (both resized to [`AbstractElement::dim`]).
+    ///
+    /// Must equal [`coord_bounds`](ReluCoordOps::coord_bounds) at every
+    /// coordinate. The default calls it once per coordinate; domains with
+    /// a cheaper bulk pass override it.
+    fn coord_bounds_into(&self, lower: &mut Vec<f64>, upper: &mut Vec<f64>) {
+        lower.clear();
+        upper.clear();
+        for i in 0..self.dim() {
+            let (lo, hi) = self.coord_bounds(i);
+            lower.push(lo);
+            upper.push(hi);
+        }
+    }
 
     /// Sets coordinate `i` to exactly zero (the negative ReLU case).
     fn project_zero(&mut self, i: usize);
@@ -519,6 +563,19 @@ pub trait ReluCoordOps: AbstractElement {
     /// Applies the single-coordinate ReLU relaxation to an unstable
     /// coordinate `i` with pre-activation bounds `(lo, hi)`.
     fn relax_relu_coord(&mut self, i: usize, lo: f64, hi: f64);
+
+    /// Applies [`relax_relu_coord`](ReluCoordOps::relax_relu_coord) to
+    /// every `(i, lo, hi)` of `coords`, in the given order (the
+    /// coordinates are distinct).
+    ///
+    /// Must produce the same element, bit for bit, as the per-coordinate
+    /// calls. The default makes them; domains with a cheaper bulk pass
+    /// override it.
+    fn relax_relu_coords(&mut self, coords: &[(usize, f64, f64)]) {
+        for &(i, lo, hi) in coords {
+            self.relax_relu_coord(i, lo, hi);
+        }
+    }
 
     /// Restricts the element to `x_i >= 0`, returning `None` if the result
     /// is empty. The result must over-approximate `γ(self) ∩ {x_i >= 0}`.

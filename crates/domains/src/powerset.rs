@@ -59,16 +59,79 @@ impl<D: ReluCoordOps> Powerset<D> {
         self.budget
     }
 
-    /// Unstable coordinates of `d`, widest straddle first.
-    fn split_order(d: &D) -> Vec<usize> {
-        let mut unstable: Vec<(usize, f64)> = (0..d.dim())
-            .filter_map(|i| {
-                let (lo, hi) = d.coord_bounds(i);
-                (lo < 0.0 && hi > 0.0).then(|| (i, hi.min(-lo)))
-            })
-            .collect();
-        unstable.sort_by(|a, b| b.1.total_cmp(&a.1));
-        unstable.into_iter().map(|(i, _)| i).collect()
+    /// Collects the unstable coordinates `(i, lo, hi)` of the cached
+    /// bounds into `out`, widest straddle first. Ties keep index order,
+    /// and the in-place sort never allocates.
+    fn split_order(lower: &[f64], upper: &[f64], out: &mut Vec<(usize, f64, f64)>) {
+        out.clear();
+        out.extend(
+            lower
+                .iter()
+                .zip(upper.iter())
+                .enumerate()
+                .filter(|(_, (lo, hi))| **lo < 0.0 && **hi > 0.0)
+                .map(|(i, (lo, hi))| (i, *lo, *hi)),
+        );
+        let straddle = |&(_, lo, hi): &(usize, f64, f64)| hi.min(-lo);
+        out.sort_unstable_by(|a, b| straddle(b).total_cmp(&straddle(a)).then(a.0.cmp(&b.0)));
+    }
+
+    /// Walks `order` on a disjunct that may still split: the first
+    /// coordinate whose meets are both non-empty splits `d` into two
+    /// disjuncts pushed onto `current`. Returns `None` then, or when `d`
+    /// turns out empty; otherwise `d` with every coordinate of `order`
+    /// resolved.
+    ///
+    /// `lower`/`upper` hold the bounds of `d`. Resolving one coordinate
+    /// leaves the others' bounds unchanged (the [`ReluCoordOps`] column
+    /// contract); a one-sided meet may move every coordinate, so the
+    /// bounds are recomputed after it.
+    fn split_first(
+        mut d: D,
+        order: &[(usize, f64, f64)],
+        lower: &mut Vec<f64>,
+        upper: &mut Vec<f64>,
+        current: &mut Vec<D>,
+    ) -> Option<D> {
+        for &(i, _, _) in order {
+            let (lo, hi) = (lower[i], upper[i]);
+            if hi <= 0.0 {
+                d.project_zero(i);
+                continue;
+            }
+            if lo >= 0.0 {
+                continue;
+            }
+            // Case split: x_i <= 0 branch projects to zero, x_i >= 0
+            // branch keeps the coordinate.
+            let neg = d.meet_coord_nonpos(i).map(|mut m| {
+                m.project_zero(i);
+                m
+            });
+            let pos = d.meet_coord_nonneg(i);
+            match (neg, pos) {
+                (Some(n), Some(p)) => {
+                    current.push(n);
+                    current.push(p);
+                    return None;
+                }
+                (Some(mut only), None) | (None, Some(mut only)) => {
+                    // One side empty: finish this coordinate on the
+                    // surviving branch and keep going.
+                    let (l2, h2) = only.coord_bounds(i);
+                    if h2 <= 0.0 {
+                        only.project_zero(i);
+                    } else if l2 < 0.0 {
+                        only.relax_relu_coord(i, l2, h2);
+                    }
+                    d = only;
+                    d.coord_bounds_into(lower, upper);
+                }
+                // Disjunct is empty; drop it.
+                (None, None) => return None,
+            }
+        }
+        Some(d)
     }
 }
 
@@ -112,78 +175,46 @@ impl<D: ReluCoordOps> AbstractElement for Powerset<D> {
         }
     }
 
-    fn relu(&self) -> Self {
-        let mut current = self.disjuncts.clone();
-        // Process each disjunct coordinate-by-coordinate. Splitting is
-        // global across the element: we stop splitting once the total
-        // number of disjuncts reaches the budget.
+    fn relu(self) -> Self {
+        let dim = self.dim();
+        let budget = self.budget;
+        let mut current = self.disjuncts;
+        // Process each disjunct in place. Splitting is global across the
+        // element: we stop splitting once the total number of disjuncts
+        // reaches the budget.
         let mut result: Vec<D> = Vec::new();
+        let (mut lower, mut upper) = (Vec::with_capacity(dim), Vec::with_capacity(dim));
+        let mut order = Vec::with_capacity(dim);
         while let Some(mut d) = current.pop() {
-            let order = Self::split_order(&d);
-            let mut split_done = false;
-            for &i in &order {
-                let (lo, hi) = d.coord_bounds(i);
-                if hi <= 0.0 {
+            d.coord_bounds_into(&mut lower, &mut upper);
+            Self::split_order(&lower, &upper, &mut order);
+            let live = current.len() + result.len() + 1;
+            if live < budget {
+                match Self::split_first(d, &order, &mut lower, &mut upper, &mut current) {
+                    Some(resolved) => d = resolved,
+                    None => continue,
+                }
+            } else {
+                // No split is possible: relax every unstable coordinate
+                // in one bulk call, widest straddle first as above.
+                d.relax_relu_coords(&order);
+            }
+            // All coordinates resolved. Project the non-positive ones
+            // that were not in the unstable order (stable ones, and
+            // those a one-sided meet made non-positive).
+            d.coord_bounds_into(&mut lower, &mut upper);
+            for i in 0..dim {
+                let (lo, hi) = (lower[i], upper[i]);
+                if hi <= 0.0 && (lo != 0.0 || hi != 0.0) {
                     d.project_zero(i);
-                    continue;
-                }
-                if lo >= 0.0 {
-                    continue;
-                }
-                let live = current.len() + result.len() + 1;
-                if live < self.budget {
-                    // Case split: x_i <= 0 branch projects to zero,
-                    // x_i >= 0 branch keeps the coordinate.
-                    let neg = d.meet_coord_nonpos(i).map(|mut m| {
-                        m.project_zero(i);
-                        m
-                    });
-                    let pos = d.meet_coord_nonneg(i);
-                    match (neg, pos) {
-                        (Some(n), Some(p)) => {
-                            current.push(n);
-                            current.push(p);
-                            split_done = true;
-                            break;
-                        }
-                        (Some(mut only), None) | (None, Some(mut only)) => {
-                            // One side empty: finish this coordinate on
-                            // the surviving branch and keep going.
-                            let (l2, h2) = only.coord_bounds(i);
-                            if h2 <= 0.0 {
-                                only.project_zero(i);
-                            } else if l2 < 0.0 {
-                                only.relax_relu_coord(i, l2, h2);
-                            }
-                            d = only;
-                        }
-                        (None, None) => {
-                            // Disjunct is empty; drop it.
-                            split_done = true;
-                            break;
-                        }
-                    }
-                } else {
-                    d.relax_relu_coord(i, lo, hi);
                 }
             }
-            if !split_done {
-                // All coordinates resolved (stable ones are handled here
-                // too: project non-positive coordinates that were not in
-                // the unstable order).
-                for i in 0..d.dim() {
-                    let (lo, hi) = d.coord_bounds(i);
-                    if hi <= 0.0 && (lo != 0.0 || hi != 0.0) {
-                        d.project_zero(i);
-                    }
-                }
-                result.push(d);
-            }
+            result.push(d);
         }
         assert!(!result.is_empty(), "powerset relu emptied all disjuncts");
         Powerset {
             disjuncts: result,
-            budget: self.budget,
+            budget,
         }
     }
 

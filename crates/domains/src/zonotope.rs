@@ -53,17 +53,6 @@ impl Zonotope {
         self.gens.rows_iter().map(|g| g[i].abs()).sum()
     }
 
-    /// Deviation radii of all coordinates in one row-major pass.
-    fn radii(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.dim()];
-        for g in self.gens.rows_iter() {
-            for (acc, v) in out.iter_mut().zip(g.iter()) {
-                *acc += v.abs();
-            }
-        }
-        out
-    }
-
     /// Removes generator rows that are identically zero (keeps propagation
     /// cheap after many ReLU layers). Called after ReLU / order reduction,
     /// where zero rows actually appear — *not* after every affine layer.
@@ -125,26 +114,69 @@ impl Zonotope {
         for &k in kept_idx {
             kept.push_row(self.gens.row(k));
         }
-        let mut fresh = vec![0.0; dim];
         for (i, a) in absorbed.iter().enumerate() {
             if *a > 0.0 {
-                fresh[i] = *a;
-                kept.push_row(&fresh);
-                fresh[i] = 0.0;
+                kept.push_axis_row(i, *a);
             }
         }
         self.gens = kept;
         self.prune_zero_generators();
     }
 
-    /// Appends a box generator: a fresh noise symbol touching only
-    /// coordinate `i` with weight `w`, using `scratch` (all zeros, length
-    /// `dim`) as the staging row. `scratch` is restored to all zeros.
-    fn push_box_generator(&mut self, scratch: &mut [f64], i: usize, w: f64) {
-        scratch[i] = w;
-        self.gens.push_row(scratch);
-        scratch[i] = 0.0;
+    /// The ReLU of a whole layer in one row-major pass over the
+    /// generators: every `(i, lo, hi)` of `relax` gets the λ-relaxation
+    /// (column `i` scaled by λ, centre shifted), every index of `project`
+    /// is set to exactly zero, and then the relaxations' fresh box rows
+    /// are appended in the order of `relax` after a single reserve.
+    ///
+    /// The indices are distinct. The result is bit-identical to calling
+    /// [`ReluCoordOps::relax_relu_coord`] for `relax` in order, with
+    /// [`ReluCoordOps::project_zero`] for `project` interleaved anywhere:
+    /// each update touches only its own column, untouched columns are
+    /// multiplied by 1.0 (exact), and a box row appended by one
+    /// relaxation holds 0.0 in every later-relaxed column, which the
+    /// per-coordinate form scales by a finite λ ≥ 0 into 0.0 again. (On
+    /// infinite bounds λ is NaN and both forms are poisoned.)
+    fn relu_columns(&mut self, relax: &[(usize, f64, f64)], project: &[usize]) {
+        if relax.is_empty() && project.is_empty() {
+            return;
+        }
+        let mut scale = vec![1.0; self.dim()];
+        for &(i, lo, hi) in relax {
+            let (lambda, mu) = relu_band(lo, hi);
+            self.center[i] = lambda * self.center[i] + mu;
+            scale[i] = lambda;
+        }
+        for &i in project {
+            self.center[i] = 0.0;
+        }
+        for g in self.gens.rows_iter_mut() {
+            for (v, s) in g.iter_mut().zip(scale.iter()) {
+                *v *= s;
+            }
+            for &i in project {
+                g[i] = 0.0;
+            }
+        }
+        self.gens.reserve_rows(relax.len());
+        for &(i, lo, hi) in relax {
+            self.gens.push_axis_row(i, relu_band(lo, hi).1);
+        }
     }
+}
+
+/// The λ-relaxation of `relu(x)` for `x ∈ [lo, hi]` with `lo < 0 < hi`:
+/// `relu(x)` lies between `λx` and `λx - λ·lo`, with `λ = hi / (hi - lo)`.
+/// Returns `(λ, μ)` with `μ = -λ·lo / 2`, the half width of that band:
+/// the coordinate becomes `λx + μ` plus a fresh noise symbol of weight
+/// `μ`.
+fn relu_band(lo: f64, hi: f64) -> (f64, f64) {
+    debug_assert!(
+        lo < 0.0 && hi > 0.0,
+        "relaxation needs an unstable coordinate"
+    );
+    let lambda = hi / (hi - lo);
+    (lambda, -0.5 * lambda * lo)
 }
 
 impl AbstractElement for Zonotope {
@@ -232,24 +264,25 @@ impl AbstractElement for Zonotope {
         ws.give(self.gens.into_vec());
     }
 
-    fn relu(&self) -> Self {
-        let mut out = self.clone();
-        // One row-major pass caches every coordinate radius up front. The
-        // per-coordinate updates below only touch column `i` (and append
-        // rows that are zero outside column `i`), so cached radii of
-        // later coordinates stay valid.
-        let radii = out.radii();
-        let mut scratch = vec![0.0; out.dim()];
-        for (i, r) in radii.into_iter().enumerate() {
-            let (lo, hi) = (out.center[i] - r, out.center[i] + r);
+    fn relu(mut self) -> Self {
+        // One bounds pass, then one pass that rewrites every column in
+        // index order: non-positive coordinates are projected to zero,
+        // unstable ones relaxed (see `relu_columns`).
+        let dim = self.dim();
+        let (mut lower, mut upper) = (Vec::with_capacity(dim), Vec::with_capacity(dim));
+        self.coord_bounds_into(&mut lower, &mut upper);
+        let mut relax = Vec::with_capacity(dim);
+        let mut project = Vec::with_capacity(dim);
+        for (i, (&lo, &hi)) in lower.iter().zip(upper.iter()).enumerate() {
             if hi <= 0.0 {
-                out.project_zero(i);
+                project.push(i);
             } else if lo < 0.0 {
-                out.relax_relu_coord_with(i, lo, hi, &mut scratch);
+                relax.push((i, lo, hi));
             }
         }
-        out.prune_zero_generators();
-        out
+        self.relu_columns(&relax, &project);
+        self.prune_zero_generators();
+        self
     }
 
     fn max_pool(&self, layer: &MaxPoolLayer) -> Self {
@@ -294,10 +327,9 @@ impl AbstractElement for Zonotope {
         }
 
         let mut out = Zonotope { center, gens };
-        let mut scratch = vec![0.0; out_dim];
         for (out_idx, radius) in fresh {
             if radius > 0.0 {
-                out.push_box_generator(&mut scratch, out_idx, radius);
+                out.gens.push_axis_row(out_idx, radius);
             }
         }
         out.prune_zero_generators();
@@ -344,9 +376,36 @@ impl ReluCoordOps for Zonotope {
         }
     }
 
+    /// One row-major pass: the radii accumulate into `upper` row by row,
+    /// in the same order (and so to the same bits) as `coord_bounds`.
+    fn coord_bounds_into(&self, lower: &mut Vec<f64>, upper: &mut Vec<f64>) {
+        upper.clear();
+        upper.resize(self.dim(), 0.0);
+        for g in self.gens.rows_iter() {
+            for (acc, v) in upper.iter_mut().zip(g.iter()) {
+                *acc += v.abs();
+            }
+        }
+        lower.clear();
+        lower.extend(self.center.iter().zip(upper.iter()).map(|(c, r)| c - r));
+        for (u, c) in upper.iter_mut().zip(self.center.iter()) {
+            *u += c;
+        }
+    }
+
     fn relax_relu_coord(&mut self, i: usize, lo: f64, hi: f64) {
-        let mut scratch = vec![0.0; self.dim()];
-        self.relax_relu_coord_with(i, lo, hi, &mut scratch);
+        let (lambda, mu) = relu_band(lo, hi);
+        self.center[i] = lambda * self.center[i] + mu;
+        for g in self.gens.rows_iter_mut() {
+            g[i] *= lambda;
+        }
+        self.gens.push_axis_row(i, mu);
+    }
+
+    /// One scaling pass over the rows, then one reserve and the fresh box
+    /// rows in the given order (see `relu_columns`).
+    fn relax_relu_coords(&mut self, coords: &[(usize, f64, f64)]) {
+        self.relu_columns(coords, &[]);
     }
 
     fn meet_coord_nonneg(&self, i: usize) -> Option<Self> {
@@ -359,26 +418,6 @@ impl ReluCoordOps for Zonotope {
 }
 
 impl Zonotope {
-    /// [`ReluCoordOps::relax_relu_coord`] with a caller-provided all-zero
-    /// staging row, so batched ReLU passes avoid one allocation per
-    /// unstable neuron.
-    fn relax_relu_coord_with(&mut self, i: usize, lo: f64, hi: f64, scratch: &mut [f64]) {
-        debug_assert!(
-            lo < 0.0 && hi > 0.0,
-            "relaxation needs an unstable coordinate"
-        );
-        // relu(x) is bounded between λx and λx - λ·lo for x ∈ [lo, hi],
-        // with λ = hi / (hi - lo). Center the band and absorb its half
-        // width into a fresh noise symbol.
-        let lambda = hi / (hi - lo);
-        let mu = -0.5 * lambda * lo;
-        self.center[i] = lambda * self.center[i] + mu;
-        for g in self.gens.rows_iter_mut() {
-            g[i] *= lambda;
-        }
-        self.push_box_generator(scratch, i, mu);
-    }
-
     /// Sound join of two zonotopes with the *same* noise-symbol count:
     /// averages centers and generators and absorbs the per-coordinate
     /// residuals into fresh box generators.
@@ -443,11 +482,10 @@ impl Zonotope {
             }
         }
         let mut out = Zonotope { center, gens };
-        let mut scratch = vec![0.0; dim];
         for (i, (a, b)) in r1.into_iter().zip(r2).enumerate() {
             let radius = a.max(b);
             if radius > 0.0 {
-                out.push_box_generator(&mut scratch, i, radius);
+                out.gens.push_axis_row(i, radius);
             }
         }
         out.prune_zero_generators();

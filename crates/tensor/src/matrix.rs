@@ -167,6 +167,26 @@ impl Matrix {
         self.rows += 1;
     }
 
+    /// Appends a row that is zero everywhere except `value` at column
+    /// `col`, without staging the row in a caller buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `col >= self.cols()`.
+    pub fn push_axis_row(&mut self, col: usize, value: f64) {
+        assert!(col < self.cols, "push_axis_row column out of range");
+        let start = self.data.len();
+        self.data.resize(start + self.cols, 0.0);
+        self.data[start + col] = value;
+        self.rows += 1;
+    }
+
+    /// Reserves capacity for at least `additional` more rows, so that
+    /// many appends cost one allocation at most.
+    pub fn reserve_rows(&mut self, additional: usize) {
+        self.data.reserve(additional * self.cols);
+    }
+
     /// Makes this a `rows x cols` zero matrix, reusing the buffer: no
     /// allocation once the capacity has reached `rows * cols`.
     pub fn reset(&mut self, rows: usize, cols: usize) {
@@ -492,6 +512,24 @@ mod tests {
         m.push_row(&[1.0, 2.0]);
         m.push_row(&[3.0, 4.0]);
         assert_eq!(m, Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
+    }
+
+    #[test]
+    fn push_axis_row_appends_one_hot_rows() {
+        let mut m = Matrix::from_rows(&[&[1.0, 2.0, 3.0]]);
+        m.reserve_rows(2);
+        m.push_axis_row(2, -0.5);
+        m.push_axis_row(0, 4.0);
+        assert_eq!(
+            m,
+            Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[0.0, 0.0, -0.5], &[4.0, 0.0, 0.0]])
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "column out of range")]
+    fn push_axis_row_rejects_bad_column() {
+        Matrix::zeros(0, 2).push_axis_row(2, 1.0);
     }
 
     #[test]

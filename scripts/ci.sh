@@ -14,12 +14,13 @@ cargo test -q -p charon --test chaos --profile ci
 cargo test -q --release -p charon -p server
 
 # Long property pass: the SIMD and kernel equivalence suites, the
-# zonotope equivalence suite and the certificate tamper suite at 256
-# cases instead of the default 24 (`PROPTEST_CASES` raises every
-# `proptest!` block that does not fix its own count).
+# zonotope and bit-exact ReLU equivalence suites and the certificate
+# tamper suite at 256 cases instead of the default 24 (`PROPTEST_CASES`
+# raises every `proptest!` block that does not fix its own count).
 PROPTEST_CASES=256 cargo test -q --release -p tensor \
   --test simd_equivalence --test kernel_equivalence
-PROPTEST_CASES=256 cargo test -q --release -p domains --test zonotope_equivalence
+PROPTEST_CASES=256 cargo test -q --release -p domains \
+  --test zonotope_equivalence --test relu_equivalence
 PROPTEST_CASES=256 cargo test -q --release -p cert --test tamper
 
 # Portable-fallback gate: the same suite with scalar kernels forced, so
