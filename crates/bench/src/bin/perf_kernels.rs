@@ -168,47 +168,74 @@ fn bench_matvec_bias(n: usize, reps: usize) -> Sample {
     }
 }
 
-/// The runtime-dispatched SIMD arm vs the portable scalar arm on the
-/// fused zonotope-affine kernel, timed at the raw dispatch-table level
-/// (no element allocation in the loop). On hosts without a vector arm —
-/// or under `CHARON_FORCE_SCALAR` — both sides time the scalar kernel
-/// and the speedup sits at 1x by construction.
-fn bench_simd_affine(neurons: usize, generators: usize, reps: usize) -> Sample {
+/// Median seconds of `calls` back-to-back fused zonotope-affine calls on
+/// `backend` (`neurons → neurons`, `generators` generators), timed at the
+/// raw dispatch-table level (no element allocation in the loop).
+fn time_fused_affine(
+    backend: &kernels::Backend,
+    neurons: usize,
+    generators: usize,
+    calls: usize,
+    reps: usize,
+) -> f64 {
     let weights = deterministic_matrix(neurons, neurons, 21);
     let bias: Vec<f64> = (0..neurons).map(|r| (r as f64 * 0.71).cos()).collect();
     let center: Vec<f64> = (0..neurons).map(|i| (i as f64 * 0.29).sin()).collect();
     let gens = deterministic_matrix(generators, neurons, 23);
     let mut out_c = vec![0.0; neurons];
     let mut out_g = vec![0.0; generators * neurons];
-    let scalar = kernels::scalar();
+    time_median(reps, || {
+        for _ in 0..calls {
+            backend.zonotope_affine(
+                weights.as_slice(),
+                &bias,
+                &center,
+                gens.as_slice(),
+                &mut out_c,
+                &mut out_g,
+            );
+        }
+        out_c[0] + out_g[out_g.len() - 1]
+    })
+}
+
+/// The runtime-dispatched SIMD arm vs the portable scalar arm on the
+/// fused zonotope-affine kernel. On hosts without a vector arm — or
+/// under `CHARON_FORCE_SCALAR` — both sides time the scalar kernel and
+/// the speedup sits at 1x by construction.
+fn bench_simd_affine(neurons: usize, generators: usize, reps: usize) -> Sample {
     let active = kernels::active();
-    let naive_s = time_median(reps, || {
-        scalar.zonotope_affine(
-            weights.as_slice(),
-            &bias,
-            &center,
-            gens.as_slice(),
-            &mut out_c,
-            &mut out_g,
-        );
-        out_c[0] + out_g[out_g.len() - 1]
-    });
-    let fast_s = time_median(reps, || {
-        active.zonotope_affine(
-            weights.as_slice(),
-            &bias,
-            &center,
-            gens.as_slice(),
-            &mut out_c,
-            &mut out_g,
-        );
-        out_c[0] + out_g[out_g.len() - 1]
-    });
     Sample {
         name: "simd_affine",
-        naive_s,
-        fast_s,
+        naive_s: time_fused_affine(kernels::scalar(), neurons, generators, 1, reps),
+        fast_s: time_fused_affine(active, neurons, generators, 1, reps),
         note: format!("{} arm vs scalar, {neurons} neurons x {generators} generators", active.name()),
+    }
+}
+
+/// The fused zonotope affine at the zoo's own shape: mnist-9x64's 64→64
+/// hidden layers carry about 176 generators, and that shape takes most
+/// of the e2ebench affine time. The `avx2` arm (naive) against the
+/// active arm (fast), 100 calls per timing. Where the active arm is
+/// `avx2` itself the ratio is 1x by construction, and hosts without
+/// AVX2 time the active arm on both sides, so no gate applies.
+fn bench_zoo_affine(reps: usize) -> Sample {
+    const CALLS: usize = 100;
+    let (neurons, generators) = (64, 176);
+    let active = kernels::active();
+    let avx2 = kernels::available()
+        .into_iter()
+        .find(|b| b.name() == "avx2")
+        .unwrap_or(active);
+    Sample {
+        name: "zoo_affine",
+        naive_s: time_fused_affine(avx2, neurons, generators, CALLS, reps),
+        fast_s: time_fused_affine(active, neurons, generators, CALLS, reps),
+        note: format!(
+            "{} arm vs {}, {neurons} neurons x {generators} generators, {CALLS} calls",
+            active.name(),
+            avx2.name()
+        ),
     }
 }
 
@@ -392,6 +419,7 @@ fn validate_json(json: &str) {
         "\"samples\": [",
         "\"name\": \"zonotope_affine\"",
         "\"name\": \"simd_affine\"",
+        "\"name\": \"zoo_affine\"",
         "\"name\": \"scheduler_throughput\"",
         "\"name\": \"attack_pgd\"",
         "\"speedup\":",
@@ -419,6 +447,7 @@ fn main() {
     let samples = vec![
         bench_zonotope_affine(neurons, generators, reps),
         bench_simd_affine(neurons, generators, reps),
+        bench_zoo_affine(reps),
         bench_matmul_transb(generators.max(8), mm, neurons.min(mm), reps),
         bench_matvec_bias(neurons, reps),
         bench_region_throughput(if smoke { 24 } else { 96 }, 4, reps),

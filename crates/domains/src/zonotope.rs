@@ -214,29 +214,9 @@ impl AbstractElement for Zonotope {
     }
 
     fn affine(&self, layer: &AffineLayer) -> Self {
-        assert_eq!(self.dim(), layer.input_dim(), "affine dimension mismatch");
-        let out_dim = layer.output_dim();
-        let rows = self.gens.rows();
-        let mut center = vec![0.0; out_dim];
-        let mut gdata = vec![0.0; rows * out_dim];
-        // New generators are G · Wᵀ: each generator row maps through the
-        // layer exactly, as one blocked matmul instead of per-row matvecs.
-        // Zero rows are NOT pruned here — affine images of nonzero rows
-        // are almost never zero, and the O(G·n) scan is pure overhead.
-        // The fused kernel streams the flat generator buffer through the
-        // runtime-selected SIMD arm (see `tensor::kernels`).
-        tensor::kernels::active().zonotope_affine(
-            layer.weights.as_slice(),
-            &layer.bias,
-            &self.center,
-            self.gens.as_slice(),
-            &mut center,
-            &mut gdata,
-        );
-        Zonotope {
-            center,
-            gens: Matrix::from_vec(rows, out_dim, gdata),
-        }
+        // A fresh workspace has nothing pooled, so `take` allocates both
+        // output buffers.
+        self.affine_ws(layer, &mut Workspace::new())
     }
 
     fn affine_ws(&self, layer: &AffineLayer, ws: &mut Workspace) -> Self {
@@ -245,6 +225,12 @@ impl AbstractElement for Zonotope {
         let mut center = ws.take(out_dim);
         let rows = self.gens.rows();
         let mut gdata = ws.take(rows * out_dim);
+        // New generators are G · Wᵀ: each generator row maps through the
+        // layer exactly, as one blocked matmul instead of per-row matvecs.
+        // Zero rows are NOT pruned here — affine images of nonzero rows
+        // are almost never zero, and the O(G·n) scan is pure overhead.
+        // The fused kernel streams the flat generator buffer through the
+        // runtime-selected SIMD arm (see `tensor::kernels`).
         tensor::kernels::active().zonotope_affine(
             layer.weights.as_slice(),
             &layer.bias,

@@ -11,8 +11,9 @@
 //!
 //! Every function in this module is compiled with
 //! `#[target_feature(enable = "avx2,fma")]` and reached only through the
-//! safe dispatch wrappers in the [`BACKEND`] table; the wrappers are what
-//! makes the calls sound, because the table is only ever selected after
+//! safe dispatch wrappers in the [`BACKEND`] table or from the `avx512`
+//! arm, which reuses them for everything but its 4×8 tile; the calls are
+//! sound because either table is only ever selected after
 //! `is_x86_feature_detected!` confirmed both features (see
 //! `super::detect`).
 
@@ -33,20 +34,29 @@ fn matmul_transb(a: &[f64], b: &[f64], m: usize, n: usize, k: usize, out: &mut [
     unsafe { matmul_transb_impl(a, b, m, n, k, out) }
 }
 
-fn gemm(a: &[f64], b: &[f64], m: usize, k: usize, n: usize, out: &mut [f64]) {
-    // Safety: the avx2 table is only selected after feature detection.
+pub(super) fn gemm(a: &[f64], b: &[f64], m: usize, k: usize, n: usize, out: &mut [f64]) {
+    // SAFETY: the avx2 and avx512 tables are only selected after
+    // feature detection confirmed avx2 and fma.
     unsafe { gemm_impl(a, b, m, k, n, out) }
 }
 
-fn matvec(w: &[f64], x: &[f64], out: &mut [f64]) {
-    // Safety: the avx2 table is only selected after feature detection.
+pub(super) fn matvec(w: &[f64], x: &[f64], out: &mut [f64]) {
+    // SAFETY: the avx2 and avx512 tables are only selected after
+    // feature detection confirmed avx2 and fma.
     unsafe { matvec_impl(w, x, out) }
 }
 
-fn matvec_bias(w: &[f64], x: &[f64], bias: &[f64], out: &mut [f64]) {
-    // Safety: the avx2 table is only selected after feature detection.
+pub(super) fn matvec_bias(w: &[f64], x: &[f64], bias: &[f64], out: &mut [f64]) {
+    // SAFETY: the avx2 and avx512 tables are only selected after
+    // feature detection confirmed avx2 and fma.
     unsafe { matvec_bias_impl(w, x, bias, out) }
 }
+
+/// The k-tile of `matmul_transb`: each output is the sum, in order, of
+/// one reduced dot product per 512-wide slice of `k`. The `avx512` arm
+/// tiles `k` the same way, which is part of what keeps its outputs
+/// bit-identical to this arm's.
+pub(super) const KB: usize = 512;
 
 /// `out = A · Bᵀ` with the 2×4 micro-kernel and two levels of cache
 /// blocking: a 512-wide k-tile (L1, as in the scalar arm) and a 64-row
@@ -55,13 +65,17 @@ fn matvec_bias(w: &[f64], x: &[f64], bias: &[f64], out: &mut [f64]) {
 /// from memory and the kernel is bandwidth-bound on large shapes (a
 /// 1024×1024 weight matrix is 8 MiB); with it, each `b` tile is pulled
 /// from RAM once per k-tile and reused across the full `a` sweep.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA, and the buffers must hold `m×k`,
+/// `n×k` and `m×n` elements.
 #[target_feature(enable = "avx2,fma")]
-unsafe fn matmul_transb_impl(a: &[f64], b: &[f64], m: usize, n: usize, k: usize, out: &mut [f64]) {
+pub(super) unsafe fn matmul_transb_impl(a: &[f64], b: &[f64], m: usize, n: usize, k: usize, out: &mut [f64]) {
     out.fill(0.0);
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    const KB: usize = 512;
     const JB: usize = 64;
     let mut k0 = 0;
     while k0 < k {
@@ -202,9 +216,14 @@ unsafe fn matvec_accumulate(w: &[f64], x: &[f64], out: &mut [f64]) {
 }
 
 /// `out[0..4] += v`, unaligned.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA, and `out` must hold at least four
+/// elements.
 #[target_feature(enable = "avx2,fma")]
 #[inline]
-unsafe fn accumulate4(out: &mut [f64], v: __m256d) {
+pub(super) unsafe fn accumulate4(out: &mut [f64], v: __m256d) {
     let cur = _mm256_loadu_pd(out.as_ptr());
     _mm256_storeu_pd(out.as_mut_ptr(), _mm256_add_pd(cur, v));
 }
@@ -289,9 +308,14 @@ unsafe fn tile2x4(
 
 /// One shared row against four rows: the matvec workhorse. Returns the
 /// four dot products as one vector.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA, and each of `b0..b3` must be at
+/// least as long as `a`.
 #[target_feature(enable = "avx2,fma")]
 #[inline]
-unsafe fn dot1x4(a: &[f64], b0: &[f64], b1: &[f64], b2: &[f64], b3: &[f64]) -> __m256d {
+pub(super) unsafe fn dot1x4(a: &[f64], b0: &[f64], b1: &[f64], b2: &[f64], b3: &[f64]) -> __m256d {
     let kb = a.len();
     let kb4 = kb & !3;
     let mut acc0 = _mm256_setzero_pd();
@@ -324,9 +348,14 @@ unsafe fn dot1x4(a: &[f64], b0: &[f64], b1: &[f64], b2: &[f64], b3: &[f64]) -> _
 
 /// Single dot product with four vector accumulator chains (16 elements
 /// in flight), used for remainder rows and columns.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA, and `b` must be at least as long
+/// as `a`.
 #[target_feature(enable = "avx2,fma")]
 #[inline]
-unsafe fn dot(a: &[f64], b: &[f64]) -> f64 {
+pub(super) unsafe fn dot(a: &[f64], b: &[f64]) -> f64 {
     let kb = a.len();
     let kb16 = kb & !15;
     let mut acc0 = _mm256_setzero_pd();

@@ -1,8 +1,8 @@
 //! Runtime-dispatched SIMD kernel backends.
 //!
 //! The hot kernels of the verifier — `matmul_transb` (zonotope generator
-//! propagation), `gemm` (batched PGD), `matvec`/`matvec_bias` (zonotope
-//! centers, policy features) — exist in up to three arms:
+//! propagation, batched PGD's forward pass), `gemm`, `matvec`/`matvec_bias`
+//! (zonotope centers, policy features) — exist in up to four arms:
 //!
 //! * **scalar** — the register-tiled portable kernels (4×4 tile, eight-way
 //!   unrolled dots). Always available; the reference every other arm is
@@ -10,6 +10,11 @@
 //! * **avx2** — `std::arch::x86_64` AVX2+FMA kernels (4-wide `f64`,
 //!   fused multiply-add, 2×4 register micro-kernel). Selected at runtime
 //!   when `is_x86_feature_detected!` confirms both features.
+//! * **avx512** — the AVX2 arm with an 8-wide `matmul_transb` (4×8
+//!   register tile over packed right rows) that performs exactly the AVX2
+//!   tile's arithmetic; `gemm` and the matvecs are the AVX2 functions.
+//!   Selected ahead of `avx2` when `avx512f`, `avx2` and `fma` are all
+//!   detected.
 //! * **neon** — `std::arch::aarch64` NEON kernels (2-wide `f64`).
 //!   NEON is architecturally guaranteed on aarch64, so it is the default
 //!   arm there.
@@ -18,16 +23,21 @@
 //! first use and caches a `&'static Backend` in a [`OnceLock`]. Setting
 //! the environment variable `CHARON_FORCE_SCALAR=1` (any non-empty value
 //! other than `0`) pins the scalar arm, which CI uses to keep the
-//! portable fallback green; the same variable also selects the verifier's
-//! fallback shared-queue scheduler (see `charon::parallel`).
+//! portable fallback green.
 //!
-//! All arms compute the same contraction with different association
-//! orders, so results agree to a few ULP of the accumulated magnitude but
-//! are not bit-identical; `tests/simd_equivalence.rs` pins every arm
-//! against the scalar reference within a 4-ULP accumulation bound.
+//! The scalar, AVX2 and NEON arms compute the same contraction with
+//! different association orders, so results agree to a few ULP of the
+//! accumulated magnitude but are not bit-identical;
+//! `tests/simd_equivalence.rs` pins every arm against the scalar
+//! reference within a 4-ULP accumulation bound. The `avx512` arm is the
+//! exception: it equals the `avx2` arm bit for bit, so a host's verdicts
+//! and certificates do not depend on which of the two it runs, and the
+//! same suite checks that equality with `to_bits`.
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
+#[cfg(target_arch = "x86_64")]
+mod avx512;
 #[cfg(target_arch = "aarch64")]
 mod neon;
 mod scalar;
@@ -60,7 +70,8 @@ pub struct Backend {
 }
 
 impl Backend {
-    /// Short identifier of the arm: `"scalar"`, `"avx2"`, or `"neon"`.
+    /// Short identifier of the arm: `"scalar"`, `"avx2"`, `"avx512"`, or
+    /// `"neon"`.
     pub fn name(&self) -> &'static str {
         self.name
     }
@@ -168,7 +179,8 @@ pub fn scalar() -> &'static Backend {
     &scalar::BACKEND
 }
 
-/// Every arm this host can execute, scalar first.
+/// Every arm this host can execute, scalar first and the arm that
+/// detection prefers last.
 ///
 /// Equivalence tests and benchmarks iterate this to cover all dispatch
 /// arms reachable on the machine, independent of which one [`active`]
@@ -176,8 +188,11 @@ pub fn scalar() -> &'static Backend {
 pub fn available() -> Vec<&'static Backend> {
     let mut arms = vec![scalar()];
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
+    if has_avx2_fma() {
         arms.push(&avx2::BACKEND);
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            arms.push(&avx512::BACKEND);
+        }
     }
     #[cfg(target_arch = "aarch64")]
     arms.push(&neon::BACKEND);
@@ -191,11 +206,18 @@ fn force_scalar() -> bool {
 }
 
 #[cfg(target_arch = "x86_64")]
+fn has_avx2_fma() -> bool {
+    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+}
+
+#[cfg(target_arch = "x86_64")]
 fn detect() -> &'static Backend {
-    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
-        &avx2::BACKEND
-    } else {
+    if !has_avx2_fma() {
         scalar()
+    } else if std::arch::is_x86_feature_detected!("avx512f") {
+        &avx512::BACKEND
+    } else {
+        &avx2::BACKEND
     }
 }
 
@@ -222,6 +244,12 @@ mod tests {
     fn active_arm_is_among_available() {
         let name = active().name();
         assert!(available().iter().any(|b| b.name() == name));
+    }
+
+    #[test]
+    fn active_arm_is_the_preferred_available_one() {
+        let want = if force_scalar() { "scalar" } else { available().last().unwrap().name() };
+        assert_eq!(active().name(), want);
     }
 
     #[test]

@@ -4,6 +4,9 @@
 //!
 //! The arms sum in different orders (8-lane scalar chains, 4-wide AVX2
 //! FMA chains, 2-wide NEON chains), so results are not bit-identical.
+//! The one exception is the `avx512` arm, which must reproduce the
+//! `avx2` arm bit for bit; `avx512_matmul_transb_matches_avx2_bits`
+//! checks that with `to_bits`.
 //! The comparison unit is the ULP of the *accumulation*, not of the
 //! possibly-cancelled result: reassociated summation of `k` terms
 //! drifts like a random walk of `O(√k)` roundings at magnitude
@@ -42,6 +45,33 @@ fn filled(len: usize, seed: u64) -> Vec<f64> {
 fn absdot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x * y).abs()).sum()
 }
+
+/// The `avx512` arm and the `avx2` arm it must reproduce bit for bit,
+/// or `None` on a host that cannot run both.
+fn avx512_and_avx2() -> Option<(&'static Backend, &'static Backend)> {
+    let arms = kernels::available();
+    let find = |name: &str| arms.iter().copied().find(|b| b.name() == name);
+    Some((find("avx512")?, find("avx2")?))
+}
+
+/// A left operand with exact zeros (every `zero_every`-th entry, none
+/// when 0) and magnitudes spread over twelve decades, so sums cancel
+/// and mix exponents.
+fn mixed_lhs(len: usize, seed: u64, zero_every: usize) -> Vec<f64> {
+    let mut v = filled(len, seed);
+    for (i, x) in v.iter_mut().enumerate() {
+        if zero_every > 0 && i % zero_every == 0 {
+            *x = 0.0;
+        } else {
+            *x *= 10f64.powi((i * 7 % 13) as i32 - 6);
+        }
+    }
+    v
+}
+
+/// Output widths for the bit-exact test: below one 8-row block, whole
+/// blocks, and blocks plus a leftover quad and/or leftover singles.
+const BITS_N: [usize; 11] = [1, 5, 8, 9, 10, 12, 15, 16, 64, 67, 144];
 
 /// All arms the host can run except the scalar reference itself.
 fn simd_arms() -> Vec<&'static Backend> {
@@ -177,6 +207,46 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+proptest! {
+    /// The `avx512` arm's `matmul_transb` equals the `avx2` arm's bit for
+    /// bit: row counts off the 4-row tile, widths with a leftover quad
+    /// and leftover singles, `k % 4 != 0` tails and `k` past the 512-wide
+    /// k-tile, unaligned operands, and a left operand with zeros and mixed
+    /// magnitudes. Hosts without AVX-512 have nothing to compare.
+    #[test]
+    fn avx512_matmul_transb_matches_avx2_bits(
+        m in 1usize..14,
+        n_pick in 0usize..BITS_N.len(),
+        k in 1usize..1100,
+        aoff in 0usize..4,
+        boff in 0usize..4,
+        zero_every in 0usize..5,
+        seed in 0u64..500,
+    ) {
+        let Some((wide, narrow)) = avx512_and_avx2() else {
+            return Ok(());
+        };
+        let n = BITS_N[n_pick];
+        let abuf = mixed_lhs(aoff + m * k, seed, zero_every);
+        let bbuf = filled(boff + n * k, seed ^ 0xbeef);
+        let (a, b) = (&abuf[aoff..], &bbuf[boff..]);
+        let mut want = vec![f64::NAN; m * n];
+        narrow.matmul_transb(a, b, m, n, k, &mut want);
+        let mut got = vec![f64::NAN; m * n];
+        wide.matmul_transb(a, b, m, n, k, &mut got);
+        let differ = (0..m * n).find(|&e| got[e].to_bits() != want[e].to_bits());
+        prop_assert!(
+            differ.is_none(),
+            "{} vs {} at (row, col) {:?}: {:?} vs {:?}",
+            wide.name(),
+            narrow.name(),
+            differ.map(|e| (e / n, e % n)),
+            differ.map(|e| got[e]),
+            differ.map(|e| want[e]),
+        );
     }
 }
 

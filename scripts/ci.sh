@@ -13,6 +13,10 @@ cargo test -q -p charon --test chaos --profile ci
 # multi-worker), the server, and the cluster's shard merge.
 cargo test -q --release -p charon -p server
 
+# End-to-end benchmark's own suite (it is a workspace of its own): the
+# slice's verdicts and counters must come out the same on every run.
+cargo test -q --release --offline --manifest-path e2ebench/Cargo.toml
+
 # Long property pass: the SIMD and kernel equivalence suites, the
 # zonotope and bit-exact ReLU equivalence suites and the certificate
 # tamper suite at 256 cases instead of the default 24 (`PROPTEST_CASES`
@@ -40,6 +44,7 @@ cargo run --release -q -p bench --bin perf_kernels -- --smoke --out "$smoke_out"
 grep -q '"schema": "bench-kernels-v1"' "$smoke_out"
 grep -q '"name": "zonotope_affine"' "$smoke_out"
 grep -q '"name": "simd_affine"' "$smoke_out"
+grep -q '"name": "zoo_affine"' "$smoke_out"
 grep -q '"name": "scheduler_throughput"' "$smoke_out"
 grep -q '"phases":' "$smoke_out"
 rm -f "$smoke_out"
