@@ -8,7 +8,7 @@
 //! can push towards paper-sized runs.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use baselines::ai2::Ai2;
@@ -20,7 +20,6 @@ use charon::{Verdict, Verifier, VerifierConfig};
 use data::properties::{brightening_suite, Benchmark};
 use data::zoo::{build, ZooConfig, ZooNetwork};
 use nn::Network;
-use parking_lot::Mutex;
 
 /// Benchmark-scale configuration, read from the environment.
 #[derive(Debug, Clone)]
@@ -299,12 +298,13 @@ pub fn run_suite(tool: &Tool, suite: &NetworkSuite, scale: &Scale) -> Vec<ToolRu
                     return;
                 }
                 let run = tool.run(&suite.net, &suite.benchmarks[idx], scale.timeout);
-                results.lock()[idx] = Some(run);
+                results.lock().unwrap()[idx] = Some(run);
             });
         }
     });
     results
         .into_inner()
+        .unwrap()
         .into_iter()
         .map(|r| r.expect("all benchmarks processed"))
         .collect()

@@ -57,16 +57,6 @@ pub enum VerifyError {
         /// `"attack"`).
         stage: &'static str,
     },
-    /// The run exhausted a resource budget before reaching a decision.
-    ///
-    /// Produced by the strict [`crate::Verifier::try_verify`] API, which
-    /// folds [`crate::Verdict::ResourceLimit`] into the error channel;
-    /// [`crate::Verifier::try_verify_run`] reports the same situation as
-    /// an `Ok` run carrying a checkpoint instead.
-    Budget {
-        /// Which budget was exhausted.
-        kind: BudgetKind,
-    },
     /// The network or property is structurally unusable: dimension
     /// mismatch, out-of-range target class, or non-finite parameters.
     MalformedModel {
@@ -97,7 +87,6 @@ impl std::fmt::Display for VerifyError {
             VerifyError::NonFinitePoisoning { stage } => {
                 write!(f, "non-finite values poisoned the {stage} stage")
             }
-            VerifyError::Budget { kind } => write!(f, "budget exhausted: {kind}"),
             VerifyError::MalformedModel { reason } => write!(f, "malformed model: {reason}"),
             VerifyError::CheckpointVersion { found } => write!(
                 f,
@@ -136,9 +125,6 @@ mod tests {
             },
             VerifyError::NonFinitePoisoning {
                 stage: "transformer",
-            },
-            VerifyError::Budget {
-                kind: BudgetKind::Timeout,
             },
             VerifyError::MalformedModel {
                 reason: "NaN weight".into(),

@@ -100,7 +100,7 @@ pub use checkpoint::Checkpoint;
 pub use error::{BudgetKind, VerifyError};
 pub use property::RobustnessProperty;
 pub use telemetry::{
-    JsonlSink, Metrics, NodeRow, NullSink, OverloadStats, RunReport, SummarySink, TraceEvent,
+    JsonlSink, Metrics, NullSink, OverloadStats, RunReport, SummarySink, TraceEvent,
     TraceSink,
 };
 pub use verify::{

@@ -6,12 +6,11 @@
 //! radius ε. This module turns the verifier into that measurement tool.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use domains::Bounds;
 use nn::Network;
-use parking_lot::Mutex;
 
 use crate::policy::{LinearPolicy, Policy};
 use crate::verify::{Verdict, Verifier, VerifierConfig};
@@ -160,7 +159,7 @@ pub fn certify(
                         Verdict::ResourceLimit => PointOutcome::Undecided,
                     }
                 };
-                outcomes.lock()[idx] = Some(outcome);
+                outcomes.lock().unwrap()[idx] = Some(outcome);
             });
         }
     });
@@ -168,6 +167,7 @@ pub fn certify(
     CertificationReport {
         outcomes: outcomes
             .into_inner()
+            .unwrap()
             .into_iter()
             .map(|o| o.expect("every point processed"))
             .collect(),

@@ -28,11 +28,10 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use domains::Bounds;
-use parking_lot::Mutex;
 
 use crate::telemetry::Metrics;
 
@@ -68,7 +67,7 @@ pub(crate) struct Scheduler {
     /// Workers currently inside a park (or committing to one).
     parked: AtomicUsize,
     /// Guards the condvar; holds no data — all state is atomic.
-    gate: StdMutex<()>,
+    gate: Mutex<()>,
     /// Signalled on push, on drain, and on stop.
     work: Condvar,
 }
@@ -93,7 +92,7 @@ impl Scheduler {
             queued: AtomicUsize::new(count),
             tasks: AtomicUsize::new(count),
             parked: AtomicUsize::new(0),
-            gate: StdMutex::new(()),
+            gate: Mutex::new(()),
             work: Condvar::new(),
         }
     }
@@ -106,7 +105,7 @@ impl Scheduler {
     pub(crate) fn try_pop(&self, worker: usize, metrics: &mut Metrics) -> Option<Region> {
         let slots = self.deques.len();
         let me = worker % slots;
-        if let Some(region) = self.deques[me].lock().pop_back() {
+        if let Some(region) = self.deques[me].lock().unwrap().pop_back() {
             self.queued.fetch_sub(1, SeqCst);
             return Some(region);
         }
@@ -116,7 +115,7 @@ impl Scheduler {
         for offset in 1..slots {
             let victim = (me + offset) % slots;
             let mut loot: VecDeque<Region> = {
-                let mut deque = self.deques[victim].lock();
+                let mut deque = self.deques[victim].lock().unwrap();
                 let take = deque.len().div_ceil(2);
                 if take == 0 {
                     continue;
@@ -128,7 +127,7 @@ impl Scheduler {
             let first = loot.pop_front().expect("steal takes at least one region");
             if !loot.is_empty() {
                 let surplus = loot.len();
-                self.deques[me].lock().append(&mut loot);
+                self.deques[me].lock().unwrap().append(&mut loot);
                 self.queued.fetch_add(surplus, SeqCst);
                 // The surplus transiently vanished from `queued`; a
                 // worker that parked during the dip needs a nudge.
@@ -148,7 +147,7 @@ impl Scheduler {
         self.tasks.fetch_add(2, SeqCst);
         let me = worker % self.deques.len();
         {
-            let mut deque = self.deques[me].lock();
+            let mut deque = self.deques[me].lock().unwrap();
             deque.push_back(right);
             deque.push_back(left);
         }
@@ -162,7 +161,7 @@ impl Scheduler {
     /// unsplittable regions, lapsed budgets).
     pub(crate) fn requeue(&self, worker: usize, region: Region) {
         let me = worker % self.deques.len();
-        self.deques[me].lock().push_back(region);
+        self.deques[me].lock().unwrap().push_back(region);
         self.queued.fetch_add(1, SeqCst);
         self.notify_if_parked();
     }
@@ -187,7 +186,7 @@ impl Scheduler {
     /// The park (if it happens) is timed into the worker's [`Metrics`].
     pub(crate) fn park(&self, limit: Duration, metrics: &mut Metrics, abort: impl Fn() -> bool) {
         let limit = limit.min(PARK_SLICE);
-        let guard = self.gate.lock().unwrap_or_else(|e| e.into_inner());
+        let guard = self.gate.lock().unwrap_or_else(PoisonError::into_inner);
         // Advertise before re-checking: a pusher increments `queued`
         // before reading `parked` (both SeqCst), so either we see its
         // work here or it sees us and notifies under the gate.
@@ -204,7 +203,7 @@ impl Scheduler {
 
     /// Wakes every parked worker (stop, error, or drained worklist).
     pub(crate) fn wake_all(&self) {
-        let _gate = self.gate.lock().unwrap_or_else(|e| e.into_inner());
+        let _gate = self.gate.lock().unwrap_or_else(PoisonError::into_inner);
         self.work.notify_all();
     }
 
@@ -212,7 +211,7 @@ impl Scheduler {
         if self.parked.load(SeqCst) > 0 {
             // Taking the gate orders the notify after any in-progress
             // parker has reached its wait.
-            let _gate = self.gate.lock().unwrap_or_else(|e| e.into_inner());
+            let _gate = self.gate.lock().unwrap_or_else(PoisonError::into_inner);
             self.work.notify_all();
         }
     }
@@ -225,7 +224,8 @@ impl Scheduler {
     pub(crate) fn into_pending(self) -> Vec<(Bounds, usize)> {
         let mut pending = Vec::new();
         for deque in self.deques {
-            pending.extend(deque.into_inner().into_iter().map(|r| (r.bounds, r.depth)));
+            let deque = deque.into_inner().unwrap_or_else(PoisonError::into_inner);
+            pending.extend(deque.into_iter().map(|r| (r.bounds, r.depth)));
         }
         pending
     }

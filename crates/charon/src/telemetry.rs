@@ -40,9 +40,7 @@
 //! needs exactly.
 
 use std::io::Write;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::json::{parse_flat_object, ObjectBuilder};
 
@@ -345,7 +343,7 @@ impl<W: Write + Send> JsonlSink<W> {
     ///
     /// Propagates the writer's I/O error.
     pub fn flush(&self) -> std::io::Result<()> {
-        self.writer.lock().flush()
+        self.writer.lock().unwrap_or_else(PoisonError::into_inner).flush()
     }
 }
 
@@ -364,7 +362,7 @@ impl JsonlSink<std::io::BufWriter<std::fs::File>> {
 
 impl<W: Write + Send> TraceSink for JsonlSink<W> {
     fn record(&self, event: &TraceEvent) {
-        let mut w = self.writer.lock();
+        let mut w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         // A full trace disk or broken pipe must never fail the
         // verification run; drop the event instead.
         let _ = writeln!(w, "{}", event.to_json());
@@ -373,7 +371,7 @@ impl<W: Write + Send> TraceSink for JsonlSink<W> {
 
 impl<W: Write + Send> Drop for JsonlSink<W> {
     fn drop(&mut self) {
-        let _ = self.writer.lock().flush();
+        let _ = self.writer.lock().unwrap_or_else(PoisonError::into_inner).flush();
     }
 }
 
@@ -494,13 +492,13 @@ impl SummarySink {
 
     /// A snapshot of the aggregate so far.
     pub fn snapshot(&self) -> TraceSummary {
-        self.summary.lock().clone()
+        self.summary.lock().unwrap_or_else(PoisonError::into_inner).clone()
     }
 }
 
 impl TraceSink for SummarySink {
     fn record(&self, event: &TraceEvent) {
-        self.summary.lock().absorb(event);
+        self.summary.lock().unwrap_or_else(PoisonError::into_inner).absorb(event);
     }
 }
 
@@ -571,28 +569,6 @@ impl Histogram {
         ];
         LABELS[idx]
     }
-}
-
-/// Per-node shard accounting for a coordinator-tier run: how many shards
-/// a node was handed, how many it finished, how many had to be
-/// re-dispatched elsewhere after the node died or dropped them, and how
-/// long the node's dispatcher sat idle waiting for work.
-///
-/// Rows are merged by node name (see [`Metrics::merge`]), mirroring how
-/// per-worker metrics merge inside one process.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct NodeRow {
-    /// Node identity (its address as the coordinator dials it).
-    pub name: String,
-    /// Shards dispatched to this node.
-    pub dispatched: u64,
-    /// Shards the node completed with a usable result.
-    pub completed: u64,
-    /// Shards taken back from this node and re-dispatched (node death,
-    /// timeout, or an injected shard drop).
-    pub redispatched: u64,
-    /// Wall-clock seconds the node's dispatcher spent idle.
-    pub idle_seconds: f64,
 }
 
 /// Overload-resilience counters for a service tier: how much offered
@@ -678,9 +654,6 @@ pub struct Metrics {
     /// Per-park idle latency distribution; a regression that starves
     /// workers shows up here as a shift toward the long buckets.
     pub idle_hist: Histogram,
-    /// Per-node shard accounting (coordinator-tier runs only; empty for
-    /// single-process runs).
-    pub nodes: Vec<NodeRow>,
     /// Wall-clock seconds per attack phase, indexed like
     /// [`attack::PHASES`]: warm, center, fgsm, coordinate, restarts.
     /// Together they cover `attack_seconds` less the call overhead.
@@ -718,9 +691,6 @@ impl Metrics {
         self.parks += other.parks;
         self.idle_seconds += other.idle_seconds;
         self.idle_hist.merge(&other.idle_hist);
-        for row in &other.nodes {
-            self.merge_node_row(row);
-        }
         for (a, b) in self
             .attack_phase_seconds
             .iter_mut()
@@ -734,20 +704,6 @@ impl Metrics {
             .zip(&other.layer_kind_seconds)
         {
             *a += b;
-        }
-    }
-
-    /// Folds one per-node row in, summing into an existing row with the
-    /// same name or appending a new one.
-    pub fn merge_node_row(&mut self, row: &NodeRow) {
-        match self.nodes.iter_mut().find(|n| n.name == row.name) {
-            Some(existing) => {
-                existing.dispatched += row.dispatched;
-                existing.completed += row.completed;
-                existing.redispatched += row.redispatched;
-                existing.idle_seconds += row.idle_seconds;
-            }
-            None => self.nodes.push(row.clone()),
         }
     }
 
@@ -810,9 +766,7 @@ impl Metrics {
     /// phase attribution in their BENCH files.
     ///
     /// Per-phase attack seconds travel as `attack_<phase>_seconds` and
-    /// per-kind layer seconds as `propagation_<kind>_seconds`. The flat
-    /// codec has no nested objects, so per-node rows travel as a joined
-    /// name string plus parallel numeric arrays, index-aligned.
+    /// per-kind layer seconds as `propagation_<kind>_seconds`.
     pub fn to_json(&self) -> String {
         let mut b = ObjectBuilder::new()
             .int("attack_calls", self.attack_calls)
@@ -832,16 +786,6 @@ impl Metrics {
         for (kind, seconds) in LAYER_KINDS.iter().zip(self.layer_kind_seconds) {
             b = b.num(&format!("propagation_{kind}_seconds"), seconds);
         }
-        if !self.nodes.is_empty() {
-            let names: Vec<&str> = self.nodes.iter().map(|n| n.name.as_str()).collect();
-            let column = |f: fn(&NodeRow) -> f64| self.nodes.iter().map(f).collect::<Vec<f64>>();
-            b = b
-                .str("node_names", &names.join(","))
-                .arr("node_dispatched", &column(|n| n.dispatched as f64))
-                .arr("node_completed", &column(|n| n.completed as f64))
-                .arr("node_redispatched", &column(|n| n.redispatched as f64))
-                .arr("node_idle_seconds", &column(|n| n.idle_seconds));
-        }
         b.build()
     }
 }
@@ -853,7 +797,7 @@ impl Metrics {
 /// fixed-width text table (`charon-cli verify --report`).
 #[derive(Debug, Clone)]
 pub struct RunReport {
-    verdict: String,
+    verdict: &'static str,
     regions: usize,
     splits: usize,
     max_depth: usize,
@@ -865,13 +809,8 @@ pub struct RunReport {
 impl RunReport {
     /// Builds a report from a completed run.
     pub fn from_run(run: &crate::VerifyRun) -> Self {
-        let verdict = match &run.verdict {
-            crate::Verdict::Verified => "verified".to_string(),
-            crate::Verdict::Refuted(_) => "refuted".to_string(),
-            crate::Verdict::ResourceLimit => "resource_limit".to_string(),
-        };
         RunReport {
-            verdict,
+            verdict: run.verdict.name(),
             regions: run.stats.regions,
             splits: run.stats.splits,
             max_depth: run.stats.max_depth,
@@ -967,15 +906,6 @@ impl RunReport {
                     }
                 }
                 out.push('\n');
-            }
-        }
-        if !m.nodes.is_empty() {
-            out.push_str("  node                      dispatched  completed  redispatched     idle\n");
-            for node in &m.nodes {
-                out.push_str(&format!(
-                    "  {:<24} {:>11} {:>10} {:>13} {:>7.3}s\n",
-                    node.name, node.dispatched, node.completed, node.redispatched, node.idle_seconds
-                ));
             }
         }
         out
@@ -1215,7 +1145,7 @@ mod tests {
         for event in sample_events() {
             sink.record(&event);
         }
-        let text = String::from_utf8(sink.writer.lock().clone()).unwrap();
+        let text = String::from_utf8(sink.writer.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), sample_events().len());
         for (line, event) in lines.iter().zip(sample_events()) {
@@ -1425,65 +1355,6 @@ mod tests {
             "report: {text}"
         );
         assert!(text.contains("park latency:"), "report: {text}");
-    }
-
-    #[test]
-    fn node_rows_merge_serialize_and_render() {
-        let mut a = Metrics::new();
-        a.merge_node_row(&NodeRow {
-            name: "unix:/tmp/n0.sock".to_string(),
-            dispatched: 4,
-            completed: 3,
-            redispatched: 1,
-            idle_seconds: 0.5,
-        });
-        let mut b = Metrics::new();
-        b.merge_node_row(&NodeRow {
-            name: "unix:/tmp/n0.sock".to_string(),
-            dispatched: 2,
-            completed: 2,
-            redispatched: 0,
-            idle_seconds: 0.25,
-        });
-        b.merge_node_row(&NodeRow {
-            name: "unix:/tmp/n1.sock".to_string(),
-            dispatched: 5,
-            completed: 5,
-            redispatched: 0,
-            idle_seconds: 0.125,
-        });
-        a.merge(&b);
-        assert_eq!(a.nodes.len(), 2, "rows merge by name");
-        assert_eq!(a.nodes[0].dispatched, 6);
-        assert_eq!(a.nodes[0].completed, 5);
-        assert_eq!(a.nodes[0].redispatched, 1);
-        assert_eq!(a.nodes[0].idle_seconds, 0.75);
-
-        let fields = parse_flat_object(&a.to_json()).expect("metrics JSON parses");
-        assert_eq!(
-            fields.str_field("node_names").unwrap(),
-            "unix:/tmp/n0.sock,unix:/tmp/n1.sock"
-        );
-        assert_eq!(fields.arr_field("node_dispatched").unwrap(), vec![6.0, 5.0]);
-        assert_eq!(
-            fields.arr_field("node_redispatched").unwrap(),
-            vec![1.0, 0.0]
-        );
-
-        let stats = crate::VerifyStats {
-            metrics: a,
-            ..crate::VerifyStats::default()
-        };
-        let run = crate::VerifyRun {
-            verdict: crate::Verdict::Verified,
-            stats,
-            checkpoint: None,
-            limit: None,
-            certificate: None,
-        };
-        let text = RunReport::from_run(&run).render();
-        assert!(text.contains("unix:/tmp/n0.sock"), "report: {text}");
-        assert!(text.contains("redispatched"), "report: {text}");
     }
 
     #[test]

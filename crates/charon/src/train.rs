@@ -8,12 +8,11 @@
 //! maximizes the negated total cost.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use bayesopt::{BayesOpt, BayesOptConfig};
 use nn::Network;
-use parking_lot::Mutex;
 
 use crate::policy::{LinearPolicy, NUM_PARAMS};
 use crate::verify::{Verdict, Verifier, VerifierConfig};
@@ -119,12 +118,12 @@ pub fn score_policy(
                     Verdict::Verified | Verdict::Refuted(_) => elapsed.as_secs_f64(),
                     Verdict::ResourceLimit => config.penalty * config.time_limit.as_secs_f64(),
                 };
-                *total_cost.lock() += cost;
+                *total_cost.lock().unwrap() += cost;
             });
         }
     });
 
-    -total_cost.into_inner()
+    -total_cost.into_inner().unwrap()
 }
 
 /// Learns a verification policy from training problems using Bayesian

@@ -15,7 +15,7 @@
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use attack::Minimizer;
@@ -24,7 +24,6 @@ use domains::{
     analyze_margin_checked_ws, AnalysisOutcome, Bounds, DomainChoice, Workspace,
 };
 use nn::Network;
-use parking_lot::Mutex;
 
 use crate::checkpoint::Checkpoint;
 use crate::error::{panic_message, BudgetKind, VerifyError};
@@ -78,6 +77,16 @@ impl Verdict {
     /// Whether the verdict is [`Verdict::Refuted`].
     pub fn is_refuted(&self) -> bool {
         matches!(self, Verdict::Refuted(_))
+    }
+
+    /// The verdict's stable `snake_case` name: the one spelling trace
+    /// events, run reports and the service's wire lines all use.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Verdict::Verified => "verified",
+            Verdict::Refuted(_) => "refuted",
+            Verdict::ResourceLimit => "resource_limit",
+        }
     }
 }
 
@@ -355,26 +364,6 @@ impl Verifier {
         self.run_on(net, property, ws, 1)
     }
 
-    /// Strict variant of [`Verifier::try_verify_run`]: budget exhaustion
-    /// is folded into the error channel as [`VerifyError::Budget`], so
-    /// `Ok` always means a decisive verdict.
-    ///
-    /// # Errors
-    ///
-    /// As [`Verifier::try_verify_run`], plus [`VerifyError::Budget`] for
-    /// [`Verdict::ResourceLimit`] outcomes.
-    pub fn try_verify(
-        &self,
-        net: &Network,
-        property: &RobustnessProperty,
-    ) -> Result<Verdict, VerifyError> {
-        let run = self.try_verify_run(net, property)?;
-        match run.limit {
-            Some(kind) => Err(VerifyError::Budget { kind }),
-            None => Ok(run.verdict),
-        }
-    }
-
     /// Continues an interrupted run from a [`Checkpoint`], processing only
     /// the regions the earlier run left undecided.
     ///
@@ -536,7 +525,9 @@ impl Verifier {
                     message: panic_message(payload.as_ref()),
                 });
             }
-            let mut merged = state.merged.lock();
+            // The run already reports a caught panic as an error; a
+            // poisoned slot must not turn it into a second panic.
+            let mut merged = state.merged.lock().unwrap_or_else(PoisonError::into_inner);
             merged.0.absorb(&stats);
             if let (Some(total), Some(records)) = (&mut merged.1, records) {
                 total.absorb(records);
@@ -563,7 +554,11 @@ impl Verifier {
             merged,
             ..
         } = state;
-        let (verdict, limit) = match (error.into_inner(), found.into_inner()) {
+        let (error, found) = (
+            error.into_inner().unwrap_or_else(PoisonError::into_inner),
+            found.into_inner().unwrap_or_else(PoisonError::into_inner),
+        );
+        let (verdict, limit) = match (error, found) {
             // A validated refutation outranks a late engine error: the
             // counterexample is real regardless of what broke elsewhere.
             (Some(_), Some((Verdict::Refuted(cex), _))) => (Verdict::Refuted(cex), None),
@@ -576,7 +571,7 @@ impl Verifier {
             (None, Some((verdict, limit))) => (verdict, limit),
             (None, None) => (Verdict::Verified, None),
         };
-        let (mut stats, recorder) = merged.into_inner();
+        let (mut stats, recorder) = merged.into_inner().unwrap_or_else(PoisonError::into_inner);
         stats.elapsed = start.elapsed();
         // The checkpoint counts regions from the *merged* worker stats,
         // which absorb every worker on every exit path.
@@ -592,7 +587,7 @@ impl Verifier {
             });
         }
         emit(self.trace.as_ref(), || TraceEvent::Verdict {
-            verdict: verdict_name(&verdict).to_string(),
+            verdict: verdict.name().to_string(),
             regions: stats.regions,
             seconds: stats.elapsed.as_secs_f64(),
         });
@@ -645,7 +640,7 @@ impl RunState {
     /// Records a verdict and tells everyone to stop, following
     /// [`verdict_supersedes`].
     fn record_and_stop(&self, verdict: Verdict, limit: Option<BudgetKind>) {
-        let mut slot = self.found.lock();
+        let mut slot = self.found.lock().unwrap_or_else(PoisonError::into_inner);
         if verdict_supersedes(slot.as_ref().map(|(v, _)| v), &verdict) {
             *slot = Some((verdict, limit));
         }
@@ -654,7 +649,7 @@ impl RunState {
 
     /// Records an engine error (first writer wins) and stops the run.
     fn record_error(&self, e: VerifyError) {
-        let mut slot = self.error.lock();
+        let mut slot = self.error.lock().unwrap_or_else(PoisonError::into_inner);
         if slot.is_none() {
             *slot = Some(e);
         }
@@ -885,15 +880,6 @@ impl CertRecorder {
             }),
             Verdict::ResourceLimit => None,
         }
-    }
-}
-
-/// Stable `snake_case` name of a verdict, as used in trace events.
-pub(crate) fn verdict_name(verdict: &Verdict) -> &'static str {
-    match verdict {
-        Verdict::Verified => "verified",
-        Verdict::Refuted(_) => "refuted",
-        Verdict::ResourceLimit => "resource_limit",
     }
 }
 
@@ -1872,20 +1858,6 @@ mod tests {
     }
 
     #[test]
-    fn try_verify_folds_budget_into_error() {
-        let net = nn::train::random_mlp(6, &[24, 24, 24], 4, 3);
-        let prop = property(vec![-1.0; 6], vec![1.0; 6], 0);
-        let mut verifier = Verifier::default();
-        verifier.config_mut().timeout = Duration::ZERO;
-        match verifier.try_verify(&net, &prop) {
-            Err(VerifyError::Budget {
-                kind: BudgetKind::Timeout,
-            }) => {}
-            other => panic!("expected timeout budget error, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn try_verify_run_rejects_malformed_problems() {
         let net = samples::xor_network();
         let verifier = Verifier::default();
@@ -2085,7 +2057,7 @@ mod tests {
         state.record_and_stop(Verdict::ResourceLimit, Some(BudgetKind::Timeout));
         state.record_and_stop(Verdict::Refuted(cex.clone()), None);
         assert_eq!(
-            *state.found.lock(),
+            *state.found.lock().unwrap(),
             Some((Verdict::Refuted(cex.clone()), None))
         );
 
@@ -2099,7 +2071,7 @@ mod tests {
             }),
             None,
         );
-        assert_eq!(*state.found.lock(), Some((Verdict::Refuted(cex), None)));
+        assert_eq!(*state.found.lock().unwrap(), Some((Verdict::Refuted(cex), None)));
         assert!(state.stop.load(Ordering::Acquire));
     }
 
@@ -2236,12 +2208,12 @@ mod tests {
 
     impl Policy for RecordingPolicy {
         fn choose_domain(&self, ctx: &PolicyContext<'_>) -> DomainSelection {
-            self.domain.lock().push((ctx.x_star.to_vec(), ctx.objective));
+            self.domain.lock().unwrap().push((ctx.x_star.to_vec(), ctx.objective));
             self.inner.choose_domain(ctx)
         }
 
         fn choose_split(&self, ctx: &PolicyContext<'_>) -> crate::policy::SplitPlan {
-            self.split.lock().push((ctx.x_star.to_vec(), ctx.objective));
+            self.split.lock().unwrap().push((ctx.x_star.to_vec(), ctx.objective));
             self.inner.choose_split(ctx)
         }
     }
@@ -2292,7 +2264,7 @@ mod tests {
         let (outcome, stats, steps) = xor_step(&policy, None, &region, Some(&incumbent));
         let clamped = vec![0.5, 0.7];
         assert_eq!(
-            *policy.domain.lock(),
+            *policy.domain.lock().unwrap(),
             vec![(clamped.clone(), net.objective(&clamped, 1))]
         );
         assert_eq!(steps, ["inconclusive", "warm", "coordinate", "split"]);
@@ -2304,7 +2276,7 @@ mod tests {
             .with_restarts(VerifierConfig::default().restarts)
             .minimize_from(&net, &region, 1, Some(&incumbent));
         assert_eq!(
-            *policy.split.lock(),
+            *policy.split.lock().unwrap(),
             vec![(attack.point.clone(), attack.objective)]
         );
         match outcome {
@@ -2323,10 +2295,10 @@ mod tests {
         assert_eq!(stats.attacks, 0);
         let clamped = vec![0.4, 0.4];
         assert_eq!(
-            *policy.domain.lock(),
+            *policy.domain.lock().unwrap(),
             vec![(clamped.clone(), net.objective(&clamped, 1))]
         );
-        assert!(policy.split.lock().is_empty());
+        assert!(policy.split.lock().unwrap().is_empty());
     }
 
     #[test]
@@ -2343,7 +2315,7 @@ mod tests {
         }
         assert!(steps.is_empty(), "ran {steps:?}");
         assert_eq!((stats.attacks, stats.analyze_calls), (0, 0));
-        assert!(policy.domain.lock().is_empty());
+        assert!(policy.domain.lock().unwrap().is_empty());
     }
 
     #[test]
@@ -2372,7 +2344,7 @@ mod tests {
             xor_step(&policy, Some(FaultSite::AttackNan), &region, Some(&[0.7, 0.7]));
         assert_eq!(steps, ["inconclusive", "warm", "coordinate", "split"]);
         let center = region.center();
-        assert_eq!(policy.split.lock()[0].0, center);
+        assert_eq!(policy.split.lock().unwrap()[0].0, center);
         match outcome {
             Ok(RegionOutcome::Split {
                 incumbent: Some(x), ..

@@ -10,6 +10,8 @@
 
 use std::collections::HashMap;
 
+use charon::Verdict;
+
 /// What a cached verdict is keyed by. All three components pin content,
 /// never names: `net_hash` is [`nn::serialize::content_hash`] of the
 /// network, `property` is the canonical `charon-prop` text, and `config`
@@ -29,12 +31,9 @@ pub struct CacheKey {
 /// exactly where the answer came from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedResult {
-    /// `"verified"` or `"refuted"`.
-    pub verdict: String,
-    /// For refutations: the counterexample objective.
-    pub objective: Option<f64>,
-    /// For refutations: the counterexample point.
-    pub counterexample: Option<Vec<f64>>,
+    /// The decisive verdict: `Verified`, or `Refuted` with its
+    /// counterexample.
+    pub verdict: Verdict,
     /// The job id that computed this result.
     pub computed_by: u64,
     /// Regions explored by the computing run.
@@ -163,9 +162,7 @@ mod tests {
 
     fn verdict(job: u64) -> CachedResult {
         CachedResult {
-            verdict: "verified".to_string(),
-            objective: None,
-            counterexample: None,
+            verdict: Verdict::Verified,
             computed_by: job,
             regions: 3,
             compute_seconds: 0.01,

@@ -70,9 +70,9 @@ use std::time::{Duration, Instant};
 
 use charon::json::ObjectBuilder;
 use charon::policy::shard_region;
-use charon::telemetry::{NodeRow, OverloadStats};
+use charon::telemetry::OverloadStats;
 use charon::verdict_supersedes;
-use charon::{Checkpoint, Counterexample, RobustnessProperty, Verdict};
+use charon::{Checkpoint, RobustnessProperty, Verdict};
 use domains::Workspace;
 
 use crate::client::Client;
@@ -82,8 +82,8 @@ use crate::journal::{Record, RecoveredJob};
 use crate::net::{Listener, ServerAddr};
 use crate::overload::{BreakerState, CircuitBreaker};
 use crate::protocol::{
-    error_response, poisoned_response, Request, ShardRequest, ShardResult, VerifyRequest,
-    PROTOCOL_VERSION,
+    error_response, poisoned_response, verdict_response, Request, ShardRequest, ShardResult,
+    VerifyRequest, PROTOCOL_VERSION,
 };
 
 /// Coordinator configuration.
@@ -140,36 +140,28 @@ impl Default for CoordinatorConfig {
 /// mirror of [`charon::parallel`]'s record-and-stop rule, factored out
 /// so the merge property test can drive it directly.
 ///
-/// Per shard, the first result wins unless a later duplicate
-/// *supersedes* it under [`verdict_supersedes`] (a refutation always
-/// replaces a resource limit, nothing replaces a decisive verdict) —
-/// so duplicate deliveries from re-dispatch are idempotent and a late
-/// refutation still flips an inconclusive shard.
+/// Each shard holds at most one [`ShardResult`]. The first result wins
+/// unless a later duplicate *supersedes* it under [`verdict_supersedes`]
+/// (a refutation always replaces a resource limit, nothing replaces a
+/// decisive verdict), and then it replaces the stored result as a
+/// whole — so duplicate deliveries from re-dispatch are idempotent and
+/// a late refutation still flips an inconclusive shard.
 #[derive(Debug, Clone)]
 pub struct MergeState {
-    slots: Vec<Option<Verdict>>,
-    limits: Vec<Option<String>>,
-    checkpoints: Vec<Option<String>>,
-    certs: Vec<Option<String>>,
-    regions: Vec<usize>,
+    results: Vec<Option<ShardResult>>,
 }
 
 impl MergeState {
     /// Starts an empty merge over `shards` shards (at least one).
     pub fn new(shards: usize) -> MergeState {
-        let n = shards.max(1);
         MergeState {
-            slots: vec![None; n],
-            limits: vec![None; n],
-            checkpoints: vec![None; n],
-            certs: vec![None; n],
-            regions: vec![0; n],
+            results: vec![None; shards.max(1)],
         }
     }
 
     /// Number of shards being merged.
     pub fn shards(&self) -> usize {
-        self.slots.len()
+        self.results.len()
     }
 
     /// Records one shard result (duplicates welcome). Returns whether
@@ -177,64 +169,48 @@ impl MergeState {
     ///
     /// # Errors
     ///
-    /// Returns a message for an out-of-range shard index or a verdict
-    /// string outside the protocol.
+    /// Returns a message for an out-of-range shard index.
     pub fn record(&mut self, result: &ShardResult) -> Result<bool, String> {
-        let i = result.shard;
-        if i >= self.slots.len() {
+        let shards = self.results.len();
+        let Some(slot) = self.results.get_mut(result.shard) else {
             return Err(format!(
-                "shard index {i} out of range (job has {} shards)",
-                self.slots.len()
+                "shard index {} out of range (job has {shards} shards)",
+                result.shard
             ));
-        }
-        let verdict = match result.verdict.as_str() {
-            "verified" => Verdict::Verified,
-            "refuted" => Verdict::Refuted(Counterexample {
-                point: result.counterexample.clone().unwrap_or_default(),
-                objective: result.objective.unwrap_or(0.0),
-            }),
-            "resource_limit" => Verdict::ResourceLimit,
-            other => return Err(format!("unknown shard verdict {other:?}")),
         };
-        if !verdict_supersedes(self.slots[i].as_ref(), &verdict) {
+        if !verdict_supersedes(slot.as_ref().map(|stored| &stored.verdict), &result.verdict) {
             return Ok(false);
         }
-        self.limits[i] = result.limit.clone();
-        self.checkpoints[i] = result.checkpoint.clone();
-        self.certs[i] = result.cert.clone();
-        self.regions[i] = result.regions;
-        self.slots[i] = Some(verdict);
+        *slot = Some(result.clone());
         Ok(true)
     }
 
-    /// The winning counterexample, if any shard refuted.
-    pub fn refutation(&self) -> Option<&Counterexample> {
-        self.slots.iter().find_map(|slot| match slot {
-            Some(Verdict::Refuted(cex)) => Some(cex),
-            _ => None,
-        })
+    /// The stored results, in shard order, skipping unresolved shards.
+    fn stored(&self) -> impl Iterator<Item = &ShardResult> {
+        self.results.iter().flatten()
+    }
+
+    /// The first refuted shard's result, if any shard refuted.
+    fn refuted(&self) -> Option<&ShardResult> {
+        self.stored().find(|result| result.verdict.is_refuted())
     }
 
     /// Whether every shard has a resolved verdict.
     pub fn complete(&self) -> bool {
-        self.slots.iter().all(Option::is_some)
+        self.results.iter().all(Option::is_some)
     }
 
     /// The job-level verdict: a refutation as soon as one exists;
     /// otherwise, once every shard is resolved, `Verified` iff all
     /// shards verified, else `ResourceLimit`. `None` while undecided.
     pub fn verdict(&self) -> Option<Verdict> {
-        if let Some(cex) = self.refutation() {
-            return Some(Verdict::Refuted(cex.clone()));
+        if let Some(refuted) = self.refuted() {
+            return Some(refuted.verdict.clone());
         }
         if !self.complete() {
             return None;
         }
-        if self
-            .slots
-            .iter()
-            .all(|slot| matches!(slot, Some(Verdict::Verified)))
-        {
+        if self.stored().all(|result| result.verdict.is_verified()) {
             Some(Verdict::Verified)
         } else {
             Some(Verdict::ResourceLimit)
@@ -243,12 +219,12 @@ impl MergeState {
 
     /// Regions processed across all shards (latest result per shard).
     pub fn regions(&self) -> usize {
-        self.regions.iter().sum()
+        self.stored().map(|result| result.regions).sum()
     }
 
     /// The first recorded budget-limit kind, for the response line.
     pub fn limit(&self) -> Option<&str> {
-        self.limits.iter().flatten().next().map(String::as_str)
+        self.stored().find_map(|result| result.limit.as_deref())
     }
 
     /// Merges every limited shard's resumable remainder into one
@@ -256,7 +232,7 @@ impl MergeState {
     /// one, or none of them parsed).
     pub fn merged_checkpoint(&self) -> Option<Checkpoint> {
         let mut merged: Option<Checkpoint> = None;
-        for text in self.checkpoints.iter().flatten() {
+        for text in self.stored().filter_map(|result| result.checkpoint.as_deref()) {
             let Ok(ckpt) = Checkpoint::from_text(text) else {
                 continue;
             };
@@ -287,13 +263,8 @@ impl MergeState {
     /// verdict is not decisive — best-effort, like everything else on
     /// the `cert` surface.
     pub fn merged_certificate(&self, root: &domains::Bounds) -> Option<String> {
-        if let Some(refuted_index) = self
-            .slots
-            .iter()
-            .position(|slot| matches!(slot, Some(Verdict::Refuted(_))))
-        {
-            let text = self.certs[refuted_index].as_deref()?;
-            let mut cert = charon::Certificate::from_text(text).ok()?;
+        if let Some(refuted) = self.refuted() {
+            let mut cert = charon::Certificate::from_text(refuted.cert.as_deref()?).ok()?;
             cert.root = root.clone();
             return Some(cert.to_text());
         }
@@ -301,13 +272,31 @@ impl MergeState {
             return None;
         }
         let parts: Option<Vec<charon::Certificate>> = self
-            .certs
-            .iter()
-            .map(|text| charon::Certificate::from_text(text.as_deref()?).ok())
+            .stored()
+            .map(|result| charon::Certificate::from_text(result.cert.as_deref()?).ok())
             .collect();
         let merged = charon::Certificate::merge_shards(root, &parts?).ok()?;
         Some(merged.to_text())
     }
+}
+
+/// Per-node shard accounting for the coordinator's `stats`: how many
+/// shards a node was handed, how many it finished, how many had to be
+/// re-dispatched elsewhere after the node died or dropped them, and how
+/// long the node's dispatchers sat idle waiting for work.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct NodeRow {
+    /// Node identity (its address as the coordinator dials it).
+    name: String,
+    /// Shards dispatched to this node.
+    dispatched: u64,
+    /// Shards the node completed with a usable result.
+    completed: u64,
+    /// Shards taken back from this node and re-dispatched (node death,
+    /// timeout, or an injected shard drop).
+    redispatched: u64,
+    /// Wall-clock seconds the node's dispatchers spent idle.
+    idle_seconds: f64,
 }
 
 /// One queued unit of dispatch work.
@@ -476,62 +465,36 @@ impl ClusterShared {
         self.front.deliver(id, &job.reply, &response);
     }
 
-    /// The job's verdict line, once the merge has decided it.
+    /// The job's verdict line, once the merge has decided it. A
+    /// refutation wins over a quarantined shard's poison.
     fn verdict_response(&self, id: u64, job: &JobState) -> Option<String> {
-        let elapsed_ms = job.accepted_at.elapsed().as_secs_f64() * 1e3;
-        let base = |verdict: &str| {
-            ObjectBuilder::new()
-                .str("response", "verdict")
-                .int("id", id)
-                .str("verdict", verdict)
-                .int("cached", 0)
-                .int("shards", job.merge.shards() as u64)
-                .int("regions", job.merge.regions() as u64)
-                .num("elapsed_ms", elapsed_ms)
-        };
-        let merged_cert = || {
-            job.cert_root
-                .as_ref()
-                .and_then(|root| job.merge.merged_certificate(root))
-        };
-        if let Some(cex) = job.merge.refutation() {
-            let mut b = base("refuted")
-                .num("objective", cex.objective)
-                .arr("counterexample", &cex.point);
-            if let Some(cert) = merged_cert() {
-                b = b.str("cert", &cert);
-            }
-            return Some(b.build());
-        }
-        if !job.merge.complete() {
-            return None;
-        }
-        if let Some((diagnostic, attempts)) = &job.poison {
+        let verdict = job.merge.verdict()?;
+        if let (false, Some((diagnostic, attempts))) = (verdict.is_refuted(), &job.poison) {
             self.counters.errored.fetch_add(1, Ordering::Relaxed);
             return Some(poisoned_response(id, diagnostic, *attempts));
         }
-        let response = match job.merge.verdict() {
-            Some(Verdict::Verified) => {
-                let mut b = base("verified");
-                if let Some(cert) = merged_cert() {
-                    b = b.str("cert", &cert);
-                }
-                b.build()
+        let mut b = verdict_response(id, &verdict)
+            .int("cached", 0)
+            .int("shards", job.merge.shards() as u64)
+            .int("regions", job.merge.regions() as u64)
+            .num("elapsed_ms", job.accepted_at.elapsed().as_secs_f64() * 1e3);
+        if verdict == Verdict::ResourceLimit {
+            if let Some(kind) = job.merge.limit() {
+                b = b.str("limit", kind);
             }
-            _ => {
-                let mut b = base("resource_limit");
-                if let Some(kind) = job.merge.limit() {
-                    b = b.str("limit", kind);
-                }
-                if let Some(ckpt) = job.merge.merged_checkpoint() {
-                    b = b
-                        .int("regions_done", ckpt.regions_done as u64)
-                        .str("checkpoint", &ckpt.to_text());
-                }
-                b.build()
+            if let Some(ckpt) = job.merge.merged_checkpoint() {
+                b = b
+                    .int("regions_done", ckpt.regions_done as u64)
+                    .str("checkpoint", &ckpt.to_text());
             }
-        };
-        Some(response)
+        } else if let Some(cert) = job
+            .cert_root
+            .as_ref()
+            .and_then(|root| job.merge.merged_certificate(root))
+        {
+            b = b.str("cert", &cert);
+        }
+        Some(b.build())
     }
 }
 
@@ -1079,11 +1042,9 @@ fn shard_failed(shared: &ClusterShared, mut task: ShardTask, node_name: &str, wh
     let synthetic = ShardResult {
         id,
         shard,
-        verdict: "resource_limit".to_string(),
+        verdict: Verdict::ResourceLimit,
         regions: 0,
         seconds: 0.0,
-        objective: None,
-        counterexample: None,
         limit: Some("quarantined".to_string()),
         checkpoint: None,
         cert: None,
@@ -1098,20 +1059,26 @@ fn shard_failed(shared: &ClusterShared, mut task: ShardTask, node_name: &str, wh
 #[cfg(test)]
 mod tests {
     use super::*;
+    use charon::Counterexample;
 
-    fn result(shard: usize, verdict: &str) -> ShardResult {
+    fn result(shard: usize, verdict: Verdict) -> ShardResult {
         ShardResult {
             id: 1,
             shard,
-            verdict: verdict.to_string(),
+            limit: (verdict == Verdict::ResourceLimit).then(|| "timeout".to_string()),
+            verdict,
             regions: 10,
             seconds: 0.1,
-            objective: (verdict == "refuted").then_some(-0.5),
-            counterexample: (verdict == "refuted").then(|| vec![0.5, 0.5]),
-            limit: (verdict == "resource_limit").then(|| "timeout".to_string()),
             checkpoint: None,
             cert: None,
         }
+    }
+
+    fn refuted() -> Verdict {
+        Verdict::Refuted(Counterexample {
+            point: vec![0.5, 0.5],
+            objective: -0.5,
+        })
     }
 
     #[test]
@@ -1119,7 +1086,7 @@ mod tests {
         let mut merge = MergeState::new(3);
         for shard in 0..3 {
             assert!(merge.verdict().is_none(), "undecided before shard {shard}");
-            merge.record(&result(shard, "verified")).unwrap();
+            merge.record(&result(shard, Verdict::Verified)).unwrap();
         }
         assert!(matches!(merge.verdict(), Some(Verdict::Verified)));
         assert_eq!(merge.regions(), 30);
@@ -1129,16 +1096,16 @@ mod tests {
     fn one_refutation_wins_immediately_and_late() {
         // Immediately: a refutation decides before the merge completes.
         let mut merge = MergeState::new(3);
-        merge.record(&result(1, "refuted")).unwrap();
+        merge.record(&result(1, refuted())).unwrap();
         assert!(matches!(merge.verdict(), Some(Verdict::Refuted(_))));
 
         // Late: a refutation supersedes the same shard's earlier
         // resource limit (record-and-stop preference).
         let mut merge = MergeState::new(2);
-        merge.record(&result(0, "verified")).unwrap();
-        merge.record(&result(1, "resource_limit")).unwrap();
+        merge.record(&result(0, Verdict::Verified)).unwrap();
+        merge.record(&result(1, Verdict::ResourceLimit)).unwrap();
         assert!(matches!(merge.verdict(), Some(Verdict::ResourceLimit)));
-        merge.record(&result(1, "refuted")).unwrap();
+        merge.record(&result(1, refuted())).unwrap();
         let Some(Verdict::Refuted(cex)) = merge.verdict() else {
             panic!("late refutation must supersede the limit");
         };
@@ -1148,11 +1115,11 @@ mod tests {
     #[test]
     fn duplicates_do_not_unresolve_or_flip_decisive_verdicts() {
         let mut merge = MergeState::new(2);
-        merge.record(&result(0, "verified")).unwrap();
+        merge.record(&result(0, Verdict::Verified)).unwrap();
         // A duplicate delivery of the same shard changes nothing.
-        assert!(!merge.record(&result(0, "verified")).unwrap());
-        assert!(!merge.record(&result(0, "resource_limit")).unwrap());
-        merge.record(&result(1, "verified")).unwrap();
+        assert!(!merge.record(&result(0, Verdict::Verified)).unwrap());
+        assert!(!merge.record(&result(0, Verdict::ResourceLimit)).unwrap());
+        merge.record(&result(1, Verdict::Verified)).unwrap();
         assert!(matches!(merge.verdict(), Some(Verdict::Verified)));
     }
 
@@ -1163,7 +1130,7 @@ mod tests {
             pending: vec![(domains::Bounds::new(vec![0.0], vec![1.0]), 3)],
             regions_done: 7,
         };
-        let mut limited = result(0, "resource_limit");
+        let mut limited = result(0, Verdict::ResourceLimit);
         limited.checkpoint = Some(ckpt.to_text());
         let mut merge = MergeState::new(2);
         merge.record(&limited).unwrap();
@@ -1200,7 +1167,7 @@ mod tests {
         };
         let mut merge = MergeState::new(2);
         for (i, region) in shards.iter().enumerate() {
-            let mut shard = result(i, "verified");
+            let mut shard = result(i, Verdict::Verified);
             shard.cert = Some(part(region));
             merge.record(&shard).unwrap();
         }
@@ -1222,7 +1189,7 @@ mod tests {
             },
         };
         let mut merge = MergeState::new(2);
-        let mut refuted = result(1, "refuted");
+        let mut refuted = result(1, refuted());
         refuted.cert = Some(witness.to_text());
         merge.record(&refuted).unwrap();
         let rerooted = merge.merged_certificate(&root).expect("re-roots");
@@ -1233,18 +1200,17 @@ mod tests {
         // A missing sub-certificate makes the verified merge best-effort
         // None instead of an unsound partial proof.
         let mut merge = MergeState::new(2);
-        let mut with = result(0, "verified");
+        let mut with = result(0, Verdict::Verified);
         with.cert = Some(part(&shards[0]));
         merge.record(&with).unwrap();
-        merge.record(&result(1, "verified")).unwrap();
+        merge.record(&result(1, Verdict::Verified)).unwrap();
         assert!(merge.merged_certificate(&root).is_none());
     }
 
     #[test]
     fn record_rejects_out_of_protocol_results() {
         let mut merge = MergeState::new(2);
-        assert!(merge.record(&result(5, "verified")).is_err(), "range");
-        assert!(merge.record(&result(0, "maybe")).is_err(), "verdict");
+        assert!(merge.record(&result(5, Verdict::Verified)).is_err(), "range");
     }
 
     #[test]
@@ -1266,13 +1232,13 @@ mod tests {
         assert_eq!(shared.jobs.lock().unwrap().len(), 1);
         assert_eq!(shared.queue.lock().unwrap().len(), 2, "one task per shard");
 
-        record_result(&shared, "n0", &result(0, "verified"));
+        record_result(&shared, "n0", &result(0, Verdict::Verified));
         let jobs = || shared.jobs.lock().unwrap().len();
         assert_eq!(jobs(), 1, "undecided until every shard");
-        record_result(&shared, "n1", &result(1, "verified"));
+        record_result(&shared, "n1", &result(1, Verdict::Verified));
         assert_eq!(jobs(), 0, "delivered jobs leave the map");
         // A straggler for the delivered job is a no-op.
-        record_result(&shared, "n0", &result(0, "refuted"));
+        record_result(&shared, "n0", &result(0, refuted()));
         assert_eq!(jobs(), 0);
 
         let stored = charon::json::parse_flat_object(&shared.front.query(1)).unwrap();

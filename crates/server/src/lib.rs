@@ -109,7 +109,9 @@ use nn::Network;
 use front::{Front, Reply, Tally, Tier};
 use journal::{Record, RecoveredJob};
 use net::Listener;
-use protocol::{checkpointed_response, error_response, poisoned_response, unstarted_response};
+use protocol::{
+    checkpointed_response, error_response, poisoned_response, unstarted_response, verdict_response,
+};
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -809,22 +811,13 @@ fn execute_job(shared: &Shared, job: &Job, ws: &mut Workspace) -> String {
             .lock()
             .unwrap()
             .observe(elapsed.as_secs_f64());
-        let mut b = ObjectBuilder::new()
-            .str("response", "verdict")
-            .int("id", job.id)
-            .str("verdict", &hit.verdict)
+        let mut b = verdict_response(job.id, &hit.verdict)
             .int("cached", 1)
             .int("computed_by", hit.computed_by)
             .num("compute_ms", hit.compute_seconds * 1e3)
             .str("net_hash", &format!("{net_hash:016x}"))
             .int("regions", hit.regions as u64)
             .num("elapsed_ms", elapsed.as_secs_f64() * 1e3);
-        if let Some(objective) = hit.objective {
-            b = b.num("objective", objective);
-        }
-        if let Some(point) = &hit.counterexample {
-            b = b.arr("counterexample", point);
-        }
         if request.cert {
             if let Some(cert) = &hit.cert {
                 b = b.str("cert", cert);
@@ -852,85 +845,46 @@ fn execute_job(shared: &Shared, job: &Job, ws: &mut Workspace) -> String {
     // verdict (so the next certifying submitter is served from memory)
     // and attached to the response only when the job asked for one.
     let cert_text = run.certificate.as_ref().map(|cert| cert.to_text());
-    let base = |verdict: &str| {
-        let mut b = ObjectBuilder::new()
-            .str("response", "verdict")
-            .int("id", job.id)
-            .str("verdict", verdict)
-            .int("cached", 0)
-            .str("net_hash", &format!("{net_hash:016x}"))
-            .int("regions", run.stats.regions as u64)
-            .num("elapsed_ms", elapsed.as_secs_f64() * 1e3);
-        if let Some(cert) = &cert_text {
-            b = b.str("cert", cert);
+    if run.verdict == Verdict::ResourceLimit {
+        let drain_cancelled = matches!(run.limit, Some(BudgetKind::Cancelled))
+            && shared.front.draining.load(Ordering::SeqCst);
+        if let (true, Some(checkpoint)) = (drain_cancelled, &run.checkpoint) {
+            counters.checkpointed.fetch_add(1, Ordering::Relaxed);
+            // The checkpoint record lands before the completed record, so
+            // a crash in between replays the job from the checkpoint
+            // instead of from scratch.
+            shared.front.journal_transition(&Record::Checkpointed {
+                id: job.id,
+                regions_done: checkpoint.regions_done,
+                checkpoint: checkpoint.to_text(),
+            });
+            return checkpointed_response(job.id, &checkpoint.to_text(), checkpoint.regions_done);
         }
-        b
-    };
-    match &run.verdict {
-        Verdict::Verified => {
-            shared.cache.lock().unwrap().insert(
-                key,
-                CachedResult {
-                    verdict: "verified".to_string(),
-                    objective: None,
-                    counterexample: None,
-                    computed_by: job.id,
-                    regions: run.stats.regions,
-                    compute_seconds: elapsed.as_secs_f64(),
-                    cert: cert_text.clone(),
-                },
-            );
-            counters.completed.fetch_add(1, Ordering::Relaxed);
-            base("verified").build()
-        }
-        Verdict::Refuted(cex) => {
-            shared.cache.lock().unwrap().insert(
-                key,
-                CachedResult {
-                    verdict: "refuted".to_string(),
-                    objective: Some(cex.objective),
-                    counterexample: Some(cex.point.clone()),
-                    computed_by: job.id,
-                    regions: run.stats.regions,
-                    compute_seconds: elapsed.as_secs_f64(),
-                    cert: cert_text.clone(),
-                },
-            );
-            counters.completed.fetch_add(1, Ordering::Relaxed);
-            base("refuted")
-                .num("objective", cex.objective)
-                .arr("counterexample", &cex.point)
-                .build()
-        }
-        Verdict::ResourceLimit => {
-            let drain_cancelled = matches!(run.limit, Some(BudgetKind::Cancelled))
-                && shared.front.draining.load(Ordering::SeqCst);
-            if drain_cancelled {
-                if let Some(checkpoint) = &run.checkpoint {
-                    counters.checkpointed.fetch_add(1, Ordering::Relaxed);
-                    // The checkpoint record lands before the completed
-                    // record, so a crash in between replays the job from
-                    // the checkpoint instead of from scratch.
-                    shared.front.journal_transition(&Record::Checkpointed {
-                        id: job.id,
-                        regions_done: checkpoint.regions_done,
-                        checkpoint: checkpoint.to_text(),
-                    });
-                    return checkpointed_response(
-                        job.id,
-                        &checkpoint.to_text(),
-                        checkpoint.regions_done,
-                    );
-                }
-            }
-            counters.completed.fetch_add(1, Ordering::Relaxed);
-            let mut b = base("resource_limit");
-            if let Some(kind) = run.limit {
-                b = b.str("limit", &kind.to_string());
-            }
-            b.build()
-        }
+    } else {
+        shared.cache.lock().unwrap().insert(
+            key,
+            CachedResult {
+                verdict: run.verdict.clone(),
+                computed_by: job.id,
+                regions: run.stats.regions,
+                compute_seconds: elapsed.as_secs_f64(),
+                cert: cert_text.clone(),
+            },
+        );
     }
+    counters.completed.fetch_add(1, Ordering::Relaxed);
+    let mut b = verdict_response(job.id, &run.verdict)
+        .int("cached", 0)
+        .str("net_hash", &format!("{net_hash:016x}"))
+        .int("regions", run.stats.regions as u64)
+        .num("elapsed_ms", elapsed.as_secs_f64() * 1e3);
+    if let Some(cert) = &cert_text {
+        b = b.str("cert", cert);
+    }
+    if let Some(kind) = run.limit {
+        b = b.str("limit", &kind.to_string());
+    }
+    b.build()
 }
 
 /// Runs one coordinator-dispatched shard synchronously to a
@@ -970,32 +924,14 @@ fn execute_shard(shared: &Shared, shard: &ShardRequest, ws: &mut Workspace) -> S
         Err(Refusal::Failed(code, message)) => return error_response(Some(id), code, &message),
     };
     shared.metrics.lock().unwrap().merge(&run.stats.metrics);
-    let mut result = ShardResult {
-        id,
-        shard: shard.shard,
-        verdict: String::new(),
-        regions: run.stats.regions,
-        seconds: start.elapsed().as_secs_f64(),
-        objective: None,
-        counterexample: None,
-        limit: None,
-        checkpoint: None,
-        cert: run.certificate.as_ref().map(|cert| cert.to_text()),
-    };
-    match &run.verdict {
-        Verdict::Verified => result.verdict = "verified".to_string(),
-        Verdict::Refuted(cex) => {
+    match run.verdict {
+        Verdict::Verified => {}
+        Verdict::Refuted(_) => {
             counters.shards_refuted.fetch_add(1, Ordering::Relaxed);
-            result.verdict = "refuted".to_string();
-            result.objective = Some(cex.objective);
-            result.counterexample = Some(cex.point.clone());
         }
         Verdict::ResourceLimit => {
             counters.shards_limited.fetch_add(1, Ordering::Relaxed);
-            result.verdict = "resource_limit".to_string();
-            result.limit = run.limit.map(|kind| kind.to_string());
-            result.checkpoint = run.checkpoint.as_ref().map(Checkpoint::to_text);
         }
     }
-    result.to_line()
+    ShardResult::from_run(id, shard.shard, &run, start.elapsed().as_secs_f64()).to_line()
 }

@@ -13,6 +13,7 @@
 //! ```
 
 use charon::json::{parse_flat_object, Fields, ObjectBuilder};
+use charon::{Checkpoint, Counterexample, Verdict, VerifyRun};
 
 /// Protocol version, echoed by `ping` and `stats` responses.
 ///
@@ -295,24 +296,20 @@ impl ShardRequest {
 }
 
 /// A node's answer to a [`ShardRequest`]: the shard's verdict plus the
-/// evidence the coordinator needs to merge it (a counterexample point
-/// for refutations, a resumable checkpoint for resource limits).
+/// evidence the coordinator needs to merge it (the witness inside a
+/// refutation, a resumable checkpoint for resource limits).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardResult {
     /// The job id echoed from the shard request.
     pub id: u64,
     /// The shard index echoed from the shard request.
     pub shard: usize,
-    /// `"verified"`, `"refuted"`, or `"resource_limit"`.
-    pub verdict: String,
+    /// The shard's verdict; a refutation carries its counterexample.
+    pub verdict: Verdict,
     /// Regions the node processed while deciding this shard.
     pub regions: usize,
     /// Node-side wall-clock seconds spent on this shard.
     pub seconds: f64,
-    /// The counterexample's score margin (refuted shards only).
-    pub objective: Option<f64>,
-    /// The counterexample point (refuted shards only).
-    pub counterexample: Option<Vec<f64>>,
     /// Which budget stopped the shard, in [`charon::BudgetKind`]'s
     /// display form (`"timeout"`, `"region budget"`, `"cancelled"`,
     /// `"numeric precision floor"`; resource-limit only).
@@ -326,6 +323,21 @@ pub struct ShardResult {
 }
 
 impl ShardResult {
+    /// The result of shard `shard` of job `id` from the node's finished
+    /// run, which took `seconds`.
+    pub fn from_run(id: u64, shard: usize, run: &VerifyRun, seconds: f64) -> ShardResult {
+        ShardResult {
+            id,
+            shard,
+            verdict: run.verdict.clone(),
+            regions: run.stats.regions,
+            seconds,
+            limit: run.limit.map(|kind| kind.to_string()),
+            checkpoint: run.checkpoint.as_ref().map(Checkpoint::to_text),
+            cert: run.certificate.as_ref().map(|cert| cert.to_text()),
+        }
+    }
+
     /// Parses a `shard_result` response line.
     ///
     /// # Errors
@@ -339,19 +351,22 @@ impl ShardResult {
         ShardResult::from_fields(&fields)
     }
 
-    /// Re-types the fields of a parsed `shard_result` response.
+    /// Re-types the fields of a parsed `shard_result` response: the one
+    /// place the wire's verdict names turn back into a [`Verdict`].
     ///
     /// # Errors
     ///
-    /// Returns a message describing the malformed field.
+    /// Returns a message describing the malformed field, including a
+    /// `refuted` verdict without its `objective` or `counterexample`.
     pub fn from_fields(fields: &Fields) -> Result<ShardResult, String> {
-        let verdict = fields.str_field("verdict")?;
-        if !matches!(verdict.as_str(), "verified" | "refuted" | "resource_limit") {
-            return Err(format!("unknown shard verdict {verdict:?}"));
-        }
-        let counterexample = match fields.opt("counterexample") {
-            Some(_) => Some(fields.arr_field("counterexample")?),
-            None => None,
+        let verdict = match fields.str_field("verdict")?.as_str() {
+            "verified" => Verdict::Verified,
+            "refuted" => Verdict::Refuted(Counterexample {
+                point: fields.arr_field("counterexample")?,
+                objective: fields.f64_field("objective")?,
+            }),
+            "resource_limit" => Verdict::ResourceLimit,
+            other => return Err(format!("unknown shard verdict {other:?}")),
         };
         Ok(ShardResult {
             id: fields.usize_field("id")? as u64,
@@ -359,8 +374,6 @@ impl ShardResult {
             verdict,
             regions: fields.opt_usize("regions")?.unwrap_or(0),
             seconds: fields.opt_f64("seconds")?.unwrap_or(0.0),
-            objective: fields.opt_f64("objective")?,
-            counterexample,
             limit: fields.opt_str("limit")?,
             checkpoint: fields.opt_str("checkpoint")?,
             cert: fields.opt_str("cert")?,
@@ -369,19 +382,13 @@ impl ShardResult {
 
     /// Renders this result to its wire form (used by nodes).
     pub fn to_line(&self) -> String {
-        let mut b = ObjectBuilder::new()
+        let b = ObjectBuilder::new()
             .str("response", "shard_result")
             .int("id", self.id)
-            .int("shard", self.shard as u64)
-            .str("verdict", &self.verdict)
+            .int("shard", self.shard as u64);
+        let mut b = verdict_fields(b, &self.verdict)
             .int("regions", self.regions as u64)
             .num("seconds", self.seconds);
-        if let Some(objective) = self.objective {
-            b = b.num("objective", objective);
-        }
-        if let Some(point) = &self.counterexample {
-            b = b.arr("counterexample", point);
-        }
         if let Some(limit) = &self.limit {
             b = b.str("limit", limit);
         }
@@ -393,6 +400,26 @@ impl ShardResult {
         }
         b.build()
     }
+}
+
+/// Appends the keys that depend on the verdict: its name and, for a
+/// refutation, the witness's `objective` and `counterexample`. Every
+/// `verdict` line except `poisoned` and every `shard_result` line write
+/// these keys here.
+pub(crate) fn verdict_fields(b: ObjectBuilder, verdict: &Verdict) -> ObjectBuilder {
+    let b = b.str("verdict", verdict.name());
+    match verdict {
+        Verdict::Refuted(cex) => b
+            .num("objective", cex.objective)
+            .arr("counterexample", &cex.point),
+        _ => b,
+    }
+}
+
+/// Starts a `verdict` response for job `id` with its verdict keys.
+pub(crate) fn verdict_response(id: u64, verdict: &Verdict) -> ObjectBuilder {
+    let b = ObjectBuilder::new().str("response", "verdict").int("id", id);
+    verdict_fields(b, verdict)
 }
 
 /// Builds a node's answer to `node_hello`: the protocol version it
@@ -701,11 +728,9 @@ mod tests {
         let verified = ShardResult {
             id: 9,
             shard: 0,
-            verdict: "verified".to_string(),
+            verdict: Verdict::Verified,
             regions: 120,
             seconds: 0.25,
-            objective: None,
-            counterexample: None,
             limit: None,
             checkpoint: None,
             cert: None,
@@ -720,16 +745,17 @@ mod tests {
         assert_eq!(ShardResult::parse(&certified.to_line()).unwrap(), certified);
 
         let refuted = ShardResult {
-            verdict: "refuted".to_string(),
-            objective: Some(-0.125),
-            counterexample: Some(vec![0.25, -1.5, 3.0]),
+            verdict: Verdict::Refuted(Counterexample {
+                point: vec![0.25, -1.5, 3.0],
+                objective: -0.125,
+            }),
             ..verified.clone()
         };
         assert_eq!(ShardResult::parse(&refuted.to_line()).unwrap(), refuted);
 
         // Checkpoint text embeds newlines; they must survive the wire.
         let limited = ShardResult {
-            verdict: "resource_limit".to_string(),
+            verdict: Verdict::ResourceLimit,
             limit: Some("timeout".to_string()),
             checkpoint: Some("charon-ckpt 1\ntarget 2\ndim 1\ndone 4\nend\n".to_string()),
             ..verified.clone()
@@ -739,6 +765,28 @@ mod tests {
         assert!(ShardResult::parse(&pong_response()).is_err(), "wrong kind");
         let bogus = limited.to_line().replace("resource_limit", "maybe");
         assert!(ShardResult::parse(&bogus).is_err(), "unknown verdict");
+    }
+
+    #[test]
+    fn refuted_shard_result_needs_its_witness() {
+        let line = |extra: &str| {
+            format!(
+                r#"{{"response": "shard_result", "id": 7, "shard": 0, "verdict": "refuted"{extra}}}"#
+            )
+        };
+        let whole = line(r#", "objective": -0.125, "counterexample": [0.25, -1.5]"#);
+        let Verdict::Refuted(cex) = ShardResult::parse(&whole).unwrap().verdict else {
+            panic!("a refuted line parses to a refutation");
+        };
+        assert_eq!(cex.point, vec![0.25, -1.5]);
+        assert_eq!(cex.objective, -0.125);
+        for partial in [
+            line(r#", "objective": -0.125"#),
+            line(r#", "counterexample": [0.25, -1.5]"#),
+            line(""),
+        ] {
+            assert!(ShardResult::parse(&partial).is_err(), "accepted {partial}");
+        }
     }
 
     #[test]

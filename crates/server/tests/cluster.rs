@@ -18,6 +18,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use charon::{Counterexample, Verdict};
 use domains::Bounds;
 use proptest::prelude::*;
 use server::journal::{Journal, Record};
@@ -331,16 +332,27 @@ enum Final {
     Limited,
 }
 
-fn shard_result(shard: usize, verdict: &str) -> ShardResult {
+/// The verdict a shard with this outcome delivers; every refuted shard
+/// reports the same witness.
+fn verdict_of(outcome: Final) -> Verdict {
+    match outcome {
+        Final::Verified => Verdict::Verified,
+        Final::Refuted => Verdict::Refuted(Counterexample {
+            point: vec![0.25, 0.75],
+            objective: -1.0,
+        }),
+        Final::Limited => Verdict::ResourceLimit,
+    }
+}
+
+fn shard_result(shard: usize, outcome: Final) -> ShardResult {
     ShardResult {
         id: 42,
         shard,
-        verdict: verdict.to_string(),
+        verdict: verdict_of(outcome),
         regions: 3,
         seconds: 0.01,
-        objective: (verdict == "refuted").then_some(-1.0),
-        counterexample: (verdict == "refuted").then(|| vec![0.25, 0.75]),
-        limit: (verdict == "resource_limit").then(|| "timeout".to_string()),
+        limit: (outcome == Final::Limited).then(|| "timeout".to_string()),
         checkpoint: None,
         cert: None,
     }
@@ -353,13 +365,12 @@ fn shard_result(shard: usize, verdict: &str) -> ShardResult {
 fn deliveries(shard: usize, outcome: Final, dup: bool, late: bool) -> Vec<ShardResult> {
     let mut script = Vec::new();
     match outcome {
-        Final::Verified => script.push(shard_result(shard, "verified")),
-        Final::Limited => script.push(shard_result(shard, "resource_limit")),
+        Final::Verified | Final::Limited => script.push(shard_result(shard, outcome)),
         Final::Refuted => {
             if late {
-                script.push(shard_result(shard, "resource_limit"));
+                script.push(shard_result(shard, Final::Limited));
             }
-            script.push(shard_result(shard, "refuted"));
+            script.push(shard_result(shard, Final::Refuted));
         }
     }
     if dup {
@@ -371,13 +382,13 @@ fn deliveries(shard: usize, outcome: Final, dup: bool, late: bool) -> Vec<ShardR
 /// What sequential single-node verification of the same sub-regions
 /// would conclude: any refutation refutes the property, all-verified
 /// verifies it, anything else is a resource limit.
-fn sequential_verdict(finals: &[Final]) -> &'static str {
+fn sequential_verdict(finals: &[Final]) -> Verdict {
     if finals.contains(&Final::Refuted) {
-        "refuted"
+        verdict_of(Final::Refuted)
     } else if finals.iter().all(|f| *f == Final::Verified) {
-        "verified"
+        Verdict::Verified
     } else {
-        "resource_limit"
+        Verdict::ResourceLimit
     }
 }
 
@@ -428,13 +439,7 @@ proptest! {
             prop_assert!(merge.record(result).is_ok(), "record {result:?}");
         }
         prop_assert!(merge.complete(), "every shard delivered at least once");
-        let merged = match merge.verdict() {
-            Some(charon::Verdict::Verified) => "verified",
-            Some(charon::Verdict::Refuted(_)) => "refuted",
-            Some(charon::Verdict::ResourceLimit) => "resource_limit",
-            None => "undecided",
-        };
-        prop_assert_eq!(merged, sequential_verdict(&finals), "wire: {:?}", wire);
+        prop_assert_eq!(merge.verdict(), Some(sequential_verdict(&finals)), "wire: {:?}", wire);
     }
 
     /// Replaying a prefix of deliveries twice (the re-dispatch storm
@@ -461,11 +466,11 @@ proptest! {
         for result in &wire {
             merge.record(result).unwrap();
         }
-        let baseline = format!("{:?}", merge.verdict());
+        let baseline = merge.verdict();
         // Replay an arbitrary prefix on top of the completed merge.
         for result in &wire[..=prefix % wire.len()] {
             merge.record(result).unwrap();
         }
-        prop_assert_eq!(format!("{:?}", merge.verdict()), baseline);
+        prop_assert_eq!(merge.verdict(), baseline);
     }
 }

@@ -85,6 +85,24 @@ fn every_message_kind_is_documented() {
 }
 
 #[test]
+fn shard_result_examples_round_trip_through_to_line() {
+    let spec = spec_text();
+    let examples: Vec<String> = example_lines(&spec)
+        .into_iter()
+        .filter(|l| l.contains("\"shard_result\""))
+        .collect();
+    assert!(examples.len() >= 3, "shard_result examples: {examples:?}");
+    for line in &examples {
+        let parsed = ShardResult::parse(line)
+            .unwrap_or_else(|e| panic!("shard_result example rejected: {line}\n  {e}"));
+        let rendered = parsed.to_line();
+        let reparsed = ShardResult::parse(&rendered)
+            .unwrap_or_else(|e| panic!("rendered line rejected: {rendered}\n  {e}"));
+        assert_eq!(reparsed, parsed, "{line}\n  rendered as {rendered}");
+    }
+}
+
+#[test]
 fn spec_examples_cover_every_shard_result_verdict() {
     let spec = spec_text();
     let shard_results: Vec<String> = example_lines(&spec)
