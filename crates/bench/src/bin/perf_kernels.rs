@@ -16,7 +16,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use domains::{AbstractElement, Bounds, Workspace, Zonotope};
+use domains::{AbstractElement, BaseDomain, Bounds, DomainChoice, Powerset, Workspace, Zonotope};
 use nn::AffineLayer;
 use tensor::kernels;
 use tensor::Matrix;
@@ -493,6 +493,109 @@ fn bench_zoo_attack_eval(reps: usize) -> Sample {
     }
 }
 
+/// Whether a `(Z, 2)` element holds a NaN, by the scan the checked
+/// propagation used to make: a short-circuit `any(is_nan)` over every
+/// centre and generator entry.
+fn scalar_poisoned(e: &Powerset<Zonotope>) -> bool {
+    e.disjuncts().iter().any(|z| {
+        z.center().iter().any(|v| v.is_nan())
+            || z.generator_matrix().as_slice().iter().any(|v| v.is_nan())
+    })
+}
+
+/// The `(Z, 2)` margin of `region` by the checked propagation's earlier
+/// loop, which scanned every intermediate element for NaN after every
+/// layer with [`scalar_poisoned`]. NaN when an element is poisoned.
+fn scan_every_layer_margin(
+    net: &nn::Network,
+    region: &Bounds,
+    target: usize,
+    ws: &mut Workspace,
+) -> f64 {
+    let mut e = Powerset::<Zonotope>::with_budget(region, 2);
+    if scalar_poisoned(&e) {
+        return f64::NAN;
+    }
+    for layer in net.layers() {
+        e = match layer {
+            nn::Layer::Affine(a) => {
+                let next = e.affine_ws(a, ws);
+                e.recycle(ws);
+                next
+            }
+            nn::Layer::Relu => e.relu(),
+            nn::Layer::MaxPool(p) => {
+                let next = e.max_pool(p);
+                e.recycle(ws);
+                next
+            }
+        };
+        if scalar_poisoned(&e) {
+            return f64::NAN;
+        }
+    }
+    let margin = e.margin_lower_bound(target);
+    e.recycle(ws);
+    margin
+}
+
+/// The propagation the verifier runs on every region:
+/// `analyze_margin_checked_ws` with the `(Z, 2)` powerset on mnist-9x64's
+/// shape, a 64 → 8×64 → 10 MLP, over small regions where the powerset
+/// splits and relaxes. Naive is [`scan_every_layer_margin`]; fast is the
+/// shipped propagation, which reads the check off each ReLU's bounds and
+/// scans only after the last layer, with the chunked
+/// `tensor::ops::has_nan`. Both run the same ReLU, so the sample times
+/// the checks alone. Both must give the same margins bit for bit, which
+/// the sample checks first.
+fn bench_zoo_checked_propagation(reps: usize) -> Sample {
+    const CALLS: usize = 40;
+    let net = nn::train::random_mlp(64, &[64; 8], 10, 11);
+    let regions: Vec<Bounds> = (0..8)
+        .map(|p| {
+            let center: Vec<f64> =
+                (0..64).map(|i| ((i * 7 + p * 13) as f64 * 0.37).sin().abs()).collect();
+            Bounds::linf_ball(&center, 0.01, None)
+        })
+        .collect();
+    let target = net.classify(&regions[0].center());
+    let choice = DomainChoice::powerset(BaseDomain::Zonotope, 2);
+    let mut ws = Workspace::new();
+    for region in &regions {
+        let naive = scan_every_layer_margin(&net, region, target, &mut ws);
+        let (_, fast) = domains::analyze_margin_checked_ws(&net, region, target, choice, &mut ws);
+        assert_eq!(naive.to_bits(), fast.to_bits(), "zoo_checked_propagation margin");
+    }
+    // The two sides alternate rep by rep, so that a drift in the host's
+    // speed (on a shared 2-vCPU VM it exceeded the difference measured
+    // between back-to-back blocks of reps) hits both sides alike.
+    let (mut naive, mut fast) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    let mut sink = 0.0f64;
+    for _ in 0..reps {
+        let start = Instant::now();
+        for c in 0..CALLS {
+            sink += scan_every_layer_margin(&net, &regions[c % regions.len()], target, &mut ws);
+        }
+        naive.push(start.elapsed().as_secs_f64());
+        let start = Instant::now();
+        for c in 0..CALLS {
+            let region = &regions[c % regions.len()];
+            sink += domains::analyze_margin_checked_ws(&net, region, target, choice, &mut ws).1;
+        }
+        fast.push(start.elapsed().as_secs_f64());
+    }
+    assert!(sink.is_finite(), "benchmark computation poisoned");
+    let (naive_s, fast_s) = (median(naive), median(fast));
+    Sample {
+        name: "zoo_checked_propagation",
+        naive_s,
+        fast_s,
+        note: format!(
+            "analyze_margin_checked_ws (Z, 2), 64 -> 8x64 -> 10 MLP, scan after every layer vs shipped, {CALLS} regions"
+        ),
+    }
+}
+
 /// One small end-to-end verification, returning the engine's per-phase
 /// metrics so kernel-level numbers sit next to where the verifier
 /// actually spends its time. Tracing stays off (the default `NullSink`);
@@ -543,6 +646,7 @@ fn validate_json(json: &str) {
         "\"name\": \"scheduler_throughput\"",
         "\"name\": \"attack_pgd\"",
         "\"name\": \"zoo_attack_eval\"",
+        "\"name\": \"zoo_checked_propagation\"",
         "\"speedup\":",
         "\"phases\":",
     ] {
@@ -575,6 +679,7 @@ fn main() {
         bench_scheduler_throughput(reps),
         bench_attack_pgd(reps),
         bench_zoo_attack_eval(reps),
+        bench_zoo_checked_propagation(reps),
     ];
 
     println!("kernel perf ({}):", if smoke { "smoke" } else { "full" });

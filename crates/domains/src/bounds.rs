@@ -121,7 +121,7 @@ impl Bounds {
     /// arithmetic on already-poisoned data; such a box poisons every
     /// comparison made against it.
     pub fn has_nan(&self) -> bool {
-        self.lower.iter().chain(self.upper.iter()).any(|v| v.is_nan())
+        tensor::ops::has_nan(&self.lower) || tensor::ops::has_nan(&self.upper)
     }
 
     /// Whether every bound is finite (no NaN, no ±∞).

@@ -160,7 +160,7 @@ impl DeepPoly {
                 Some(l) => l.lower[target] - l.upper[j],
                 None => f64::NEG_INFINITY,
             };
-            worst = worst.min(relational.max(boxed));
+            worst = crate::min_or_nan(worst, crate::max_or_nan(relational, boxed));
         }
         worst
     }
@@ -394,6 +394,21 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Through a lone ReLU, `y0 - y1` is `∞ - ∞` on both the relational
+    /// and the boxed bound while `y0 - y2` is `+∞`: the margin is NaN, so
+    /// the region is not proved.
+    #[test]
+    fn a_nan_class_term_makes_the_margin_nan() {
+        let net = Network::new(3, vec![Layer::Relu]).unwrap();
+        let region = Bounds::new(
+            vec![f64::INFINITY, 0.0, -1.0],
+            vec![f64::INFINITY, f64::INFINITY, 0.0],
+        );
+        assert!(DeepPoly::analyze(&net, &region)
+            .margin_lower_bound(0)
+            .is_nan());
+    }
 
     #[test]
     fn exact_on_affine_networks() {

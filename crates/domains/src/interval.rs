@@ -138,14 +138,14 @@ impl AbstractElement for Interval {
         let mut worst = f64::INFINITY;
         for j in 0..self.dim() {
             if j != target {
-                worst = worst.min(self.lower[target] - self.upper[j]);
+                worst = crate::min_or_nan(worst, self.lower[target] - self.upper[j]);
             }
         }
         worst
     }
 
     fn is_poisoned(&self) -> bool {
-        self.lower.iter().chain(self.upper.iter()).any(|v| v.is_nan())
+        tensor::ops::has_nan(&self.lower) || tensor::ops::has_nan(&self.upper)
     }
 }
 
@@ -193,6 +193,20 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tensor::Matrix;
+
+    /// `y0 - y1` is `∞ - ∞` while `y0 - y2` is `+∞`: the NaN term makes
+    /// the margin NaN instead of being skipped by `f64::min`, although no
+    /// bound is NaN.
+    #[test]
+    fn a_nan_class_term_makes_the_margin_nan() {
+        let e = Interval::from_bounds(&Bounds::new(
+            vec![f64::INFINITY, 0.0, -1.0],
+            vec![f64::INFINITY, f64::INFINITY, 0.0],
+        ));
+        assert!(!e.is_poisoned());
+        assert!(e.margin_lower_bound(0).is_nan());
+        assert_eq!(e.margin_lower_bound(2), f64::NEG_INFINITY);
+    }
 
     #[test]
     fn affine_interval_bounds() {

@@ -50,11 +50,21 @@
 //!
 //! # Numeric failure model
 //!
-//! The checked entry points guard every layer transition against NaN/Inf
+//! The checked entry points guard every layer transition against NaN
 //! poisoning: [`analyze_margin_checked_ws`] returns
-//! [`AnalysisOutcome::Poisoned`] instead of silently propagating
-//! non-finite bounds, and the verifier reacts by retrying the region on
-//! the interval domain.
+//! [`AnalysisOutcome::Poisoned`] instead of silently propagating NaN
+//! bounds, and the verifier reacts by retrying the region on the
+//! interval domain. A NaN class term makes the margin NaN, and so
+//! `Poisoned`, too.
+//!
+//! Every intermediate element is checked once, and most checks cost no
+//! scan: a ReLU checks its own input and output
+//! ([`AbstractElement::relu_checked`]), and the zonotope and powerset
+//! ReLUs read the check off the coordinate bounds they compute anyway.
+//! Finite bounds mean the element holds no NaN and the ReLU creates none
+//! (the finite-bounds contract of [`ReluCoordOps`]). Only a non-finite
+//! bound, a powerset split (its meets), the last layer and a max-pool
+//! that no ReLU follows lead to a scan of the generators.
 //!
 //! # Per-layer time
 //!
@@ -62,7 +72,9 @@
 //! call records the wall-clock seconds of every layer into the
 //! workspace's [`Workspace::layer_seconds`] buffer (one clock read per
 //! layer). Callers that report per-layer time read the buffer after the
-//! call; callers that do not simply ignore it.
+//! call; callers that do not simply ignore it. A layer's seconds include
+//! its poisoning check, so an affine layer followed by a ReLU no longer
+//! carries the scan of its output it used to.
 //!
 //! # Examples
 //!
@@ -247,6 +259,43 @@ pub trait AbstractElement: Clone + std::fmt::Debug + Sized {
     fn is_poisoned(&self) -> bool {
         false
     }
+
+    /// [`AbstractElement::relu`] with the poisoning check of its input
+    /// and of its output: `None` when either is poisoned, otherwise the
+    /// element `relu` returns, bit for bit.
+    ///
+    /// The default scans the input, runs `relu` and scans the output.
+    /// Domains whose ReLU already computes every coordinate's bounds
+    /// override it to read the check off those bounds instead (see
+    /// [`ReluCoordOps`], "Finite-bounds contract").
+    fn relu_checked(self) -> Option<Self> {
+        if self.is_poisoned() {
+            return None;
+        }
+        let out = self.relu();
+        (!out.is_poisoned()).then_some(out)
+    }
+}
+
+/// `a.min(b)`, except that a NaN operand makes the result NaN.
+///
+/// `f64::min` returns the other operand when one is NaN, so a margin
+/// folded with it would silently skip a poisoned class term.
+pub(crate) fn min_or_nan(a: f64, b: f64) -> f64 {
+    if a.is_nan() || b.is_nan() {
+        f64::NAN
+    } else {
+        a.min(b)
+    }
+}
+
+/// `a.max(b)`, except that a NaN operand makes the result NaN.
+pub(crate) fn max_or_nan(a: f64, b: f64) -> f64 {
+    if a.is_nan() || b.is_nan() {
+        f64::NAN
+    } else {
+        a.max(b)
+    }
 }
 
 /// Propagates an abstract element through every layer of a network.
@@ -281,11 +330,19 @@ pub fn propagate<E: AbstractElement>(net: &Network, element: E) -> E {
 /// [`AbstractElement::is_poisoned`]); the result of further propagation
 /// would be meaningless.
 ///
+/// Every intermediate element is checked once. A ReLU layer runs
+/// [`AbstractElement::relu_checked`], which checks its own input and
+/// output, so the element an affine or max-pool layer hands to a ReLU is
+/// not scanned a second time; every other element is scanned after the
+/// layer that made it. The result is the same, `None` or the element
+/// bit for bit, as scanning after every layer.
+///
 /// Every call times its layers: afterwards [`Workspace::layer_seconds`]
 /// holds the wall-clock seconds of each layer transformer (plus its
 /// poisoning check) in layer order, covering only the layers that ran on
-/// an early poisoning exit. The buffer is the workspace's own, so the
-/// timing allocates nothing in steady state.
+/// an early poisoning exit (poison in an element headed into a ReLU is
+/// found, and timed, by that ReLU). The buffer is the workspace's own,
+/// so the timing allocates nothing in steady state.
 ///
 /// Produces bit-identical elements to [`propagate`].
 ///
@@ -304,32 +361,36 @@ pub fn propagate_checked_ws<E: AbstractElement>(
         "element dimension must match network input"
     );
     ws.layer_seconds.clear();
-    if element.is_poisoned() {
+    let layers = net.layers();
+    let feeds_relu = |k: usize| matches!(layers.get(k), Some(Layer::Relu));
+    if !feeds_relu(0) && element.is_poisoned() {
         return None;
     }
     let mut current = element;
     let mut start = Instant::now();
-    for layer in net.layers() {
-        current = match layer {
+    for (k, layer) in layers.iter().enumerate() {
+        let next = match layer {
             Layer::Affine(a) => {
                 let next = current.affine_ws(a, ws);
                 current.recycle(ws);
-                next
+                Some(next)
             }
-            Layer::Relu => current.relu(),
+            Layer::Relu => current.relu_checked(),
             Layer::MaxPool(p) => {
                 let next = current.max_pool(p);
                 current.recycle(ws);
-                next
+                Some(next)
             }
         };
-        let poisoned = current.is_poisoned();
+        // A ReLU has checked its own output, and an element headed into
+        // a ReLU is left to that ReLU's input check.
+        let next = next.filter(|e| {
+            matches!(layer, Layer::Relu) || feeds_relu(k + 1) || !e.is_poisoned()
+        });
         let end = Instant::now();
         ws.layer_seconds.push((end - start).as_secs_f64());
         start = end;
-        if poisoned {
-            return None;
-        }
+        current = next?;
     }
     Some(current)
 }
@@ -541,6 +602,23 @@ fn margin_outcome<E: AbstractElement>(
 /// So after either call, [`coord_bounds`](ReluCoordOps::coord_bounds) of
 /// every coordinate `j != i` returns the same bits as before. The meets
 /// carry no such promise: they may move every coordinate.
+///
+/// # Finite-bounds contract
+///
+/// The checked powerset ReLU ([`AbstractElement::relu_checked`] on
+/// [`Powerset`]) reads the poisoning check off the bounds it computes
+/// anyway, so every implementation must make two promises:
+///
+/// * if every bound [`coord_bounds_into`](ReluCoordOps::coord_bounds_into)
+///   returns is finite, the element holds no NaN;
+/// * relaxing coordinates with finite bounds `lo < 0 < hi` and projecting
+///   coordinates to zero never creates a NaN.
+///
+/// Both base domains keep them. An interval's bounds are its
+/// representation. A zonotope coordinate's radius is a sum of `|v|` over
+/// its generator column, which is NaN exactly when the column holds a
+/// NaN (and a NaN centre makes both bounds NaN); its relaxation scales a
+/// column by `λ = hi / (hi - lo) ∈ [0, 1]` and adds finite terms.
 pub trait ReluCoordOps: AbstractElement {
     /// Concrete bounds of coordinate `i`.
     fn coord_bounds(&self, i: usize) -> (f64, f64);
@@ -568,17 +646,32 @@ pub trait ReluCoordOps: AbstractElement {
     /// coordinate `i` with pre-activation bounds `(lo, hi)`.
     fn relax_relu_coord(&mut self, i: usize, lo: f64, hi: f64);
 
-    /// Applies [`relax_relu_coord`](ReluCoordOps::relax_relu_coord) to
-    /// every `(i, lo, hi)` of `coords`, in the given order (the
-    /// coordinates are distinct).
+    /// The ReLU of an element that will not be split: relaxes every
+    /// `(i, lo, hi)` of `order` (distinct coordinates, `lo < 0 < hi`), in
+    /// that order, then projects to zero every coordinate whose bounds
+    /// *after* the relaxations are non-positive and not both exactly
+    /// zero.
     ///
-    /// Must produce the same element, bit for bit, as the per-coordinate
-    /// calls. The default makes them; domains with a cheaper bulk pass
-    /// override it.
-    fn relax_relu_coords(&mut self, coords: &[(usize, f64, f64)]) {
-        for &(i, lo, hi) in coords {
+    /// On entry `lower`/`upper` hold the element's bounds
+    /// ([`coord_bounds_into`](ReluCoordOps::coord_bounds_into)); on return
+    /// their contents are unspecified. The default is that sequence
+    /// spelled out: the per-coordinate relaxations, a second bounds pass,
+    /// then one projection per non-positive coordinate. Domains with a
+    /// fused pass override it and must produce the same element bit for
+    /// bit. The column contract is what makes a fused pass possible: the
+    /// bounds of every coordinate outside `order` are the same after the
+    /// relaxations as on entry.
+    fn relax_and_project(
+        &mut self,
+        order: &[(usize, f64, f64)],
+        lower: &mut Vec<f64>,
+        upper: &mut Vec<f64>,
+    ) {
+        for &(i, lo, hi) in order {
             self.relax_relu_coord(i, lo, hi);
         }
+        self.coord_bounds_into(lower, upper);
+        project_nonpositive(self, lower, upper);
     }
 
     /// Restricts the element to `x_i >= 0`, returning `None` if the result
@@ -588,4 +681,20 @@ pub trait ReluCoordOps: AbstractElement {
     /// Restricts the element to `x_i <= 0`, returning `None` if the result
     /// is empty. The result must over-approximate `γ(self) ∩ {x_i <= 0}`.
     fn meet_coord_nonpos(&self, i: usize) -> Option<Self>;
+}
+
+/// Projects to zero every coordinate of `d` whose bounds in
+/// `lower`/`upper` are non-positive and not both exactly zero (those
+/// already are).
+pub(crate) fn project_nonpositive<D: ReluCoordOps>(d: &mut D, lower: &[f64], upper: &[f64]) {
+    for (i, (&lo, &hi)) in lower.iter().zip(upper).enumerate() {
+        if hi <= 0.0 && (lo != 0.0 || hi != 0.0) {
+            d.project_zero(i);
+        }
+    }
+}
+
+/// Whether every bound in `lower` and `upper` is finite.
+pub(crate) fn all_finite(lower: &[f64], upper: &[f64]) -> bool {
+    lower.iter().chain(upper).all(|v| v.is_finite())
 }

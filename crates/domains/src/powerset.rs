@@ -1,6 +1,6 @@
 use nn::{AffineLayer, MaxPoolLayer};
 
-use crate::{AbstractElement, Bounds, ReluCoordOps, Workspace};
+use crate::{all_finite, project_nonpositive, AbstractElement, Bounds, ReluCoordOps, Workspace};
 
 /// The bounded powerset domain: a disjunction of at most `budget` base
 /// elements.
@@ -133,6 +133,70 @@ impl<D: ReluCoordOps> Powerset<D> {
         }
         Some(d)
     }
+
+    /// The ReLU of every disjunct: [`AbstractElement::relu`], or with
+    /// `checked` [`AbstractElement::relu_checked`].
+    ///
+    /// The check reads the bounds each disjunct's ReLU computes first.
+    /// Finite bounds mean the disjunct holds no NaN, and relaxing and
+    /// projecting it creates none ([`ReluCoordOps`], "Finite-bounds
+    /// contract"). So only a disjunct of the input with a non-finite bound
+    /// is scanned, and the output is scanned only when such a disjunct,
+    /// or a meet of the split path, went into it.
+    fn relu_disjuncts(self, checked: bool) -> Option<Self> {
+        let dim = self.dim();
+        let budget = self.budget;
+        let mut current = self.disjuncts;
+        // `current[..inputs]` are the input's disjuncts not yet popped;
+        // the disjuncts of a split are pushed above them.
+        let mut inputs = current.len();
+        let mut scan_output = false;
+        // Process each disjunct in place. Splitting is global across the
+        // element: we stop splitting once the total number of disjuncts
+        // reaches the budget.
+        let mut result: Vec<D> = Vec::new();
+        let (mut lower, mut upper) = (Vec::with_capacity(dim), Vec::with_capacity(dim));
+        let mut order = Vec::with_capacity(dim);
+        while let Some(mut d) = current.pop() {
+            d.coord_bounds_into(&mut lower, &mut upper);
+            if checked && !all_finite(&lower, &upper) {
+                if current.len() < inputs && d.is_poisoned() {
+                    return None;
+                }
+                scan_output = true;
+            }
+            inputs = inputs.min(current.len());
+            Self::split_order(&lower, &upper, &mut order);
+            let live = current.len() + result.len() + 1;
+            if live < budget && !order.is_empty() {
+                scan_output = true;
+                match Self::split_first(d, &order, &mut lower, &mut upper, &mut current) {
+                    Some(resolved) => d = resolved,
+                    None => continue,
+                }
+                // All coordinates resolved. Project the non-positive
+                // ones that were not in the unstable order (stable ones,
+                // and those a one-sided meet made non-positive).
+                d.coord_bounds_into(&mut lower, &mut upper);
+                project_nonpositive(&mut d, &lower, &upper);
+            } else {
+                // No split is possible (or, with no unstable coordinate,
+                // needed): relax every unstable coordinate, widest
+                // straddle first as above, and project the non-positive
+                // ones.
+                d.relax_and_project(&order, &mut lower, &mut upper);
+            }
+            result.push(d);
+        }
+        assert!(!result.is_empty(), "powerset relu emptied all disjuncts");
+        if checked && scan_output && result.iter().any(AbstractElement::is_poisoned) {
+            return None;
+        }
+        Some(Powerset {
+            disjuncts: result,
+            budget,
+        })
+    }
 }
 
 impl<D: ReluCoordOps> AbstractElement for Powerset<D> {
@@ -176,46 +240,12 @@ impl<D: ReluCoordOps> AbstractElement for Powerset<D> {
     }
 
     fn relu(self) -> Self {
-        let dim = self.dim();
-        let budget = self.budget;
-        let mut current = self.disjuncts;
-        // Process each disjunct in place. Splitting is global across the
-        // element: we stop splitting once the total number of disjuncts
-        // reaches the budget.
-        let mut result: Vec<D> = Vec::new();
-        let (mut lower, mut upper) = (Vec::with_capacity(dim), Vec::with_capacity(dim));
-        let mut order = Vec::with_capacity(dim);
-        while let Some(mut d) = current.pop() {
-            d.coord_bounds_into(&mut lower, &mut upper);
-            Self::split_order(&lower, &upper, &mut order);
-            let live = current.len() + result.len() + 1;
-            if live < budget {
-                match Self::split_first(d, &order, &mut lower, &mut upper, &mut current) {
-                    Some(resolved) => d = resolved,
-                    None => continue,
-                }
-            } else {
-                // No split is possible: relax every unstable coordinate
-                // in one bulk call, widest straddle first as above.
-                d.relax_relu_coords(&order);
-            }
-            // All coordinates resolved. Project the non-positive ones
-            // that were not in the unstable order (stable ones, and
-            // those a one-sided meet made non-positive).
-            d.coord_bounds_into(&mut lower, &mut upper);
-            for i in 0..dim {
-                let (lo, hi) = (lower[i], upper[i]);
-                if hi <= 0.0 && (lo != 0.0 || hi != 0.0) {
-                    d.project_zero(i);
-                }
-            }
-            result.push(d);
-        }
-        assert!(!result.is_empty(), "powerset relu emptied all disjuncts");
-        Powerset {
-            disjuncts: result,
-            budget,
-        }
+        self.relu_disjuncts(false)
+            .expect("an unchecked ReLU always returns an element")
+    }
+
+    fn relu_checked(self) -> Option<Self> {
+        self.relu_disjuncts(true)
     }
 
     fn max_pool(&self, layer: &MaxPoolLayer) -> Self {
@@ -229,7 +259,7 @@ impl<D: ReluCoordOps> AbstractElement for Powerset<D> {
         self.disjuncts
             .iter()
             .map(|d| d.margin_lower_bound(target))
-            .fold(f64::INFINITY, f64::min)
+            .fold(f64::INFINITY, crate::min_or_nan)
     }
 
     fn is_poisoned(&self) -> bool {
@@ -248,6 +278,22 @@ mod tests {
 
     fn unit_box(dim: usize) -> Bounds {
         Bounds::new(vec![0.0; dim], vec![1.0; dim])
+    }
+
+    /// A disjunct whose margin is NaN makes the powerset's margin NaN,
+    /// instead of being skipped by the fold.
+    #[test]
+    fn a_nan_disjunct_margin_makes_the_margin_nan() {
+        let region = Bounds::new(
+            vec![f64::INFINITY, 0.0, -1.0],
+            vec![f64::INFINITY, f64::INFINITY, 0.0],
+        );
+        for margin in [
+            Powerset::<Interval>::with_budget(&region, 2).margin_lower_bound(0),
+            Powerset::<Zonotope>::with_budget(&region, 2).margin_lower_bound(0),
+        ] {
+            assert!(margin.is_nan(), "margin {margin}");
+        }
     }
 
     #[test]

@@ -251,7 +251,7 @@ impl SymbolicInterval {
                 continue;
             }
             let diff = self.lower[target].sub(&self.upper[j]);
-            worst = worst.min(diff.min_over(&self.region));
+            worst = crate::min_or_nan(worst, diff.min_over(&self.region));
         }
         worst
     }
@@ -418,6 +418,27 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Through the identity, `y0 - y1` is `∞ - ∞` over the region while
+    /// `y0 - y2` is `+∞`: the margin is NaN, not `+∞`.
+    #[test]
+    fn a_nan_class_term_makes_the_margin_nan() {
+        let net = Network::new(
+            3,
+            vec![Layer::Affine(AffineLayer::new(
+                tensor::Matrix::identity(3),
+                vec![0.0; 3],
+            ))],
+        )
+        .unwrap();
+        let region = Bounds::new(
+            vec![f64::INFINITY, 0.0, -1.0],
+            vec![f64::INFINITY, f64::INFINITY, 0.0],
+        );
+        assert!(propagate_symbolic(&net, &region)
+            .margin_lower_bound(0)
+            .is_nan());
+    }
 
     #[test]
     fn identity_symbolic_interval() {

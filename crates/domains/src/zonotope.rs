@@ -53,6 +53,24 @@ impl Zonotope {
         self.gens.rows_iter().map(|g| g[i].abs()).sum()
     }
 
+    /// The lower and upper bound of every coordinate, each generator
+    /// subtracted from (added to) the centre in row order. Unlike
+    /// [`AbstractElement::bounds`] it accepts `∞ - ∞ = NaN` bounds, which
+    /// an element without NaN has when a centre entry and its radius are
+    /// both infinite.
+    fn bound_vecs(&self) -> (Vec<f64>, Vec<f64>) {
+        let mut lower = self.center.clone();
+        let mut upper = self.center.clone();
+        for g in self.gens.rows_iter() {
+            for (i, v) in g.iter().enumerate() {
+                let a = v.abs();
+                lower[i] -= a;
+                upper[i] += a;
+            }
+        }
+        (lower, upper)
+    }
+
     /// Removes generator rows that are identically zero (keeps propagation
     /// cheap after many ReLU layers). Called after ReLU / order reduction,
     /// where zero rows actually appear — *not* after every affine layer.
@@ -137,7 +155,21 @@ impl Zonotope {
     /// relaxation holds 0.0 in every later-relaxed column, which the
     /// per-coordinate form scales by a finite λ ≥ 0 into 0.0 again. (On
     /// infinite bounds λ is NaN and both forms are poisoned.)
-    fn relu_columns(&mut self, relax: &[(usize, f64, f64)], project: &[usize]) {
+    ///
+    /// With `radius`, the same pass also sums `|v|` of every scaled
+    /// column, row by row and before the projections, into `radius`
+    /// (resized to the dimension): over the rows that existed before the
+    /// fresh ones, exactly the sum `coord_bounds_into` starts with.
+    fn relu_columns(
+        &mut self,
+        relax: &[(usize, f64, f64)],
+        project: &[usize],
+        mut radius: Option<&mut Vec<f64>>,
+    ) {
+        if let Some(r) = radius.as_deref_mut() {
+            r.clear();
+            r.resize(self.dim(), 0.0);
+        }
         if relax.is_empty() && project.is_empty() {
             return;
         }
@@ -151,8 +183,18 @@ impl Zonotope {
             self.center[i] = 0.0;
         }
         for g in self.gens.rows_iter_mut() {
-            for (v, s) in g.iter_mut().zip(scale.iter()) {
-                *v *= s;
+            match radius.as_deref_mut() {
+                Some(r) => {
+                    for ((v, s), acc) in g.iter_mut().zip(&scale).zip(r.iter_mut()) {
+                        *v *= s;
+                        *acc += v.abs();
+                    }
+                }
+                None => {
+                    for (v, s) in g.iter_mut().zip(&scale) {
+                        *v *= s;
+                    }
+                }
             }
             for &i in project {
                 g[i] = 0.0;
@@ -163,6 +205,24 @@ impl Zonotope {
             self.gens.push_axis_row(i, relu_band(lo, hi).1);
         }
     }
+
+    /// The plain ReLU given the element's bounds: non-positive
+    /// coordinates are projected to zero and unstable ones relaxed in one
+    /// pass (see `relu_columns`), then zero generator rows are pruned.
+    fn relu_with_bounds(&mut self, lower: &[f64], upper: &[f64]) {
+        let dim = self.dim();
+        let mut relax = Vec::with_capacity(dim);
+        let mut project = Vec::with_capacity(dim);
+        for (i, (&lo, &hi)) in lower.iter().zip(upper.iter()).enumerate() {
+            if hi <= 0.0 {
+                project.push(i);
+            } else if lo < 0.0 {
+                relax.push((i, lo, hi));
+            }
+        }
+        self.relu_columns(&relax, &project, None);
+        self.prune_zero_generators();
+    }
 }
 
 /// The λ-relaxation of `relu(x)` for `x ∈ [lo, hi]` with `lo < 0 < hi`:
@@ -170,9 +230,13 @@ impl Zonotope {
 /// Returns `(λ, μ)` with `μ = -λ·lo / 2`, the half width of that band:
 /// the coordinate becomes `λx + μ` plus a fresh noise symbol of weight
 /// `μ`.
+///
+/// A NaN bound passes the check (and makes `λ` NaN): the plain ReLU
+/// relaxes a coordinate whose upper bound is `∞ - ∞`, as it always has,
+/// and the checked propagation then reports the output poisoned.
 fn relu_band(lo: f64, hi: f64) -> (f64, f64) {
     debug_assert!(
-        lo < 0.0 && hi > 0.0,
+        !(lo >= 0.0 || hi <= 0.0),
         "relaxation needs an unstable coordinate"
     );
     let lambda = hi / (hi - lo);
@@ -201,15 +265,7 @@ impl AbstractElement for Zonotope {
     }
 
     fn bounds(&self) -> Bounds {
-        let mut lower = self.center.clone();
-        let mut upper = self.center.clone();
-        for g in self.gens.rows_iter() {
-            for (i, v) in g.iter().enumerate() {
-                let a = v.abs();
-                lower[i] -= a;
-                upper[i] += a;
-            }
-        }
+        let (lower, upper) = self.bound_vecs();
         Bounds::new(lower, upper)
     }
 
@@ -252,28 +308,31 @@ impl AbstractElement for Zonotope {
 
     fn relu(mut self) -> Self {
         // One bounds pass, then one pass that rewrites every column in
-        // index order: non-positive coordinates are projected to zero,
-        // unstable ones relaxed (see `relu_columns`).
-        let dim = self.dim();
-        let (mut lower, mut upper) = (Vec::with_capacity(dim), Vec::with_capacity(dim));
+        // index order.
+        let (mut lower, mut upper) = (Vec::new(), Vec::new());
         self.coord_bounds_into(&mut lower, &mut upper);
-        let mut relax = Vec::with_capacity(dim);
-        let mut project = Vec::with_capacity(dim);
-        for (i, (&lo, &hi)) in lower.iter().zip(upper.iter()).enumerate() {
-            if hi <= 0.0 {
-                project.push(i);
-            } else if lo < 0.0 {
-                relax.push((i, lo, hi));
-            }
-        }
-        self.relu_columns(&relax, &project);
-        self.prune_zero_generators();
+        self.relu_with_bounds(&lower, &upper);
         self
+    }
+
+    /// The poisoning check is read off the bounds the ReLU computes
+    /// anyway: finite bounds mean no NaN in the input and none in the
+    /// output ([`ReluCoordOps`], "Finite-bounds contract"). Only
+    /// non-finite bounds fall back to scanning the generators.
+    fn relu_checked(mut self) -> Option<Self> {
+        let (mut lower, mut upper) = (Vec::new(), Vec::new());
+        self.coord_bounds_into(&mut lower, &mut upper);
+        let finite = crate::all_finite(&lower, &upper);
+        if !finite && self.is_poisoned() {
+            return None;
+        }
+        self.relu_with_bounds(&lower, &upper);
+        (finite || !self.is_poisoned()).then_some(self)
     }
 
     fn max_pool(&self, layer: &MaxPoolLayer) -> Self {
         assert_eq!(self.dim(), layer.input_dim, "max-pool dimension mismatch");
-        let in_bounds = self.bounds();
+        let (in_lower, in_upper) = self.bound_vecs();
         let out_dim = layer.output_dim();
         let num_gens = self.gens.rows();
         let mut center = vec![0.0; out_dim];
@@ -284,9 +343,9 @@ impl AbstractElement for Zonotope {
             // If one input dominates all others, the max is exact and
             // relational information is preserved.
             let dominant = group.iter().copied().find(|&cand| {
-                group.iter().all(|&other| {
-                    other == cand || in_bounds.lower()[cand] >= in_bounds.upper()[other]
-                })
+                group
+                    .iter()
+                    .all(|&other| other == cand || in_lower[cand] >= in_upper[other])
             });
             match dominant {
                 Some(idx) => {
@@ -300,11 +359,11 @@ impl AbstractElement for Zonotope {
                     // [max_j lo_j, max_j hi_j].
                     let lo = group
                         .iter()
-                        .map(|&i| in_bounds.lower()[i])
+                        .map(|&i| in_lower[i])
                         .fold(f64::NEG_INFINITY, f64::max);
                     let hi = group
                         .iter()
-                        .map(|&i| in_bounds.upper()[i])
+                        .map(|&i| in_upper[i])
                         .fold(f64::NEG_INFINITY, f64::max);
                     center[out_idx] = 0.5 * (lo + hi);
                     fresh.push((out_idx, 0.5 * (hi - lo)));
@@ -339,13 +398,13 @@ impl AbstractElement for Zonotope {
                 continue;
             }
             // min over noise of (y_t - y_j) = (c_t - c_j) - Σ_k |g_k,t - g_k,j|
-            worst = worst.min(ct - self.center[j] - dev[j]);
+            worst = crate::min_or_nan(worst, ct - self.center[j] - dev[j]);
         }
         worst
     }
 
     fn is_poisoned(&self) -> bool {
-        self.center.iter().any(|v| v.is_nan()) || self.gens.as_slice().iter().any(|v| v.is_nan())
+        tensor::ops::has_nan(&self.center) || tensor::ops::has_nan(self.gens.as_slice())
     }
 }
 
@@ -388,10 +447,41 @@ impl ReluCoordOps for Zonotope {
         self.gens.push_axis_row(i, mu);
     }
 
-    /// One scaling pass over the rows, then one reserve and the fresh box
-    /// rows in the given order (see `relu_columns`).
-    fn relax_relu_coords(&mut self, coords: &[(usize, f64, f64)]) {
-        self.relu_columns(coords, &[]);
+    /// One row-major pass instead of the default's scaling pass, second
+    /// bounds pass and strided column walks. The pass scales the relaxed
+    /// columns and zeroes the projected ones (see `relu_columns`). A
+    /// column outside `order` is projected by its bounds on entry: the
+    /// relaxations leave them bit for bit as they were (column contract;
+    /// the fresh rows add exact `+0.0` terms to its radius). The same
+    /// pass sums the relaxed columns' `|v|` row by row, so each relaxed
+    /// column's bounds after the relaxation come out as
+    /// `coord_bounds_into` would compute them: its own fresh row adds
+    /// `|μ|` and every other fresh row adds `+0.0`. The rare relaxed
+    /// column that comes out non-positive is then projected by a column
+    /// walk, as in the default.
+    fn relax_and_project(
+        &mut self,
+        order: &[(usize, f64, f64)],
+        lower: &mut Vec<f64>,
+        upper: &mut Vec<f64>,
+    ) {
+        // Mark the relaxed columns so the entry bounds never project them.
+        for &(i, _, _) in order {
+            upper[i] = f64::INFINITY;
+        }
+        let project: Vec<usize> = (0..self.dim())
+            .filter(|&i| upper[i] <= 0.0 && (lower[i] != 0.0 || upper[i] != 0.0))
+            .collect();
+        let radius = upper;
+        self.relu_columns(order, &project, Some(&mut *radius));
+        for &(i, lo, hi) in order {
+            let r = radius[i] + relu_band(lo, hi).1.abs();
+            let c = self.center[i];
+            let (after_lo, after_hi) = (c - r, r + c);
+            if after_hi <= 0.0 && (after_lo != 0.0 || after_hi != 0.0) {
+                self.project_zero(i);
+            }
+        }
     }
 
     fn meet_coord_nonneg(&self, i: usize) -> Option<Self> {
@@ -640,6 +730,19 @@ mod tests {
 
     fn unit_box(dim: usize) -> Bounds {
         Bounds::new(vec![0.0; dim], vec![1.0; dim])
+    }
+
+    /// The box `[∞, 0, -1]..[∞, ∞, 0]` gives centre `[∞, ∞, -0.5]`, so
+    /// the term of class 1 is `∞ - ∞ - ∞`: the margin is NaN, not the `+∞`
+    /// of class 2, although no entry is NaN.
+    #[test]
+    fn a_nan_class_term_makes_the_margin_nan() {
+        let z = Zonotope::from_bounds(&Bounds::new(
+            vec![f64::INFINITY, 0.0, -1.0],
+            vec![f64::INFINITY, f64::INFINITY, 0.0],
+        ));
+        assert!(!z.is_poisoned());
+        assert!(z.margin_lower_bound(0).is_nan());
     }
 
     #[test]

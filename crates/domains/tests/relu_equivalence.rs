@@ -11,6 +11,9 @@
 //! domain whose meets move other coordinates (`OneSided`), which is the
 //! case where the powerset must re-read its cached bounds.
 
+mod common;
+
+use common::{bits, ExactRepr};
 use domains::{AbstractElement, Bounds, Interval, Powerset, ReluCoordOps, Zonotope};
 use nn::{AffineLayer, Layer, Network};
 use proptest::prelude::*;
@@ -114,32 +117,6 @@ fn reference_powerset_relu<D: ReluCoordOps>(disjuncts: &[D], budget: usize) -> V
     result
 }
 
-fn bits(v: &[f64]) -> Vec<u64> {
-    v.iter().map(|x| x.to_bits()).collect()
-}
-
-/// The exact representation of a base element: its buffers as bits, plus
-/// its row count (generators for a zonotope, 0 for an interval).
-trait ExactRepr {
-    fn repr(&self) -> (Vec<u64>, Vec<u64>, usize);
-}
-
-impl ExactRepr for Zonotope {
-    fn repr(&self) -> (Vec<u64>, Vec<u64>, usize) {
-        (
-            bits(self.center()),
-            bits(self.generator_matrix().as_slice()),
-            self.num_generators(),
-        )
-    }
-}
-
-impl ExactRepr for Interval {
-    fn repr(&self) -> (Vec<u64>, Vec<u64>, usize) {
-        (bits(self.lower()), bits(self.upper()), 0)
-    }
-}
-
 /// A base domain whose meets move other coordinates, to drive the
 /// powerset through one-sided meets that invalidate its cached bounds.
 ///
@@ -207,7 +184,7 @@ impl ReluCoordOps for OneSided {
 }
 
 impl ExactRepr for OneSided {
-    fn repr(&self) -> (Vec<u64>, Vec<u64>, usize) {
+    fn repr(&self) -> Vec<u64> {
         self.0.repr()
     }
 }
@@ -397,4 +374,145 @@ fn stable_layers_match_the_reference() {
         assert_eq!(check_powerset::<Zonotope>(&net, &region, budget), 0);
         assert_eq!(check_powerset::<Interval>(&net, &region, budget), 0);
     }
+}
+
+/// The default `ReluCoordOps::relax_and_project`, which the zonotope's
+/// fused pass replaces: the relaxations one coordinate at a time, a second
+/// bounds pass, then one projection per non-positive coordinate.
+fn reference_relax_and_project(z: &mut Zonotope, order: &[(usize, f64, f64)]) {
+    for &(i, lo, hi) in order {
+        z.relax_relu_coord(i, lo, hi);
+    }
+    let (mut lower, mut upper) = (Vec::new(), Vec::new());
+    z.coord_bounds_into(&mut lower, &mut upper);
+    for i in 0..z.dim() {
+        if upper[i] <= 0.0 && (lower[i] != 0.0 || upper[i] != 0.0) {
+            z.project_zero(i);
+        }
+    }
+}
+
+/// Runs the fused step and the reference on copies of `z` and compares
+/// the results bit for bit.
+fn check_relax_and_project(z: &Zonotope, order: &[(usize, f64, f64)]) {
+    let mut expected = z.clone();
+    reference_relax_and_project(&mut expected, order);
+    let mut got = z.clone();
+    let (mut lower, mut upper) = (Vec::new(), Vec::new());
+    got.coord_bounds_into(&mut lower, &mut upper);
+    got.relax_and_project(order, &mut lower, &mut upper);
+    assert_eq!(got.repr(), expected.repr(), "order {order:?}");
+}
+
+/// A zonotope of dimension `dim` with `gens` generator rows, drawn from
+/// `rng`: an affine image of a box, with some all-zero columns (constant
+/// coordinates, some of them exactly zero) and some tiny entries.
+fn random_zonotope(rng: &mut StdRng, dim: usize, gens: usize) -> Zonotope {
+    let region = Bounds::new(vec![-1.0; gens], vec![1.0; gens]);
+    let zero_column: Vec<bool> = (0..dim).map(|_| rng.gen_bool(0.2)).collect();
+    let weights = Matrix::from_fn(dim, gens, |r, _| {
+        if zero_column[r] || rng.gen_bool(0.1) {
+            0.0
+        } else if rng.gen_bool(0.1) {
+            rng.gen_range(-1e-300..1e-300)
+        } else {
+            rng.gen_range(-1.0..1.0)
+        }
+    });
+    let bias = (0..dim)
+        .map(|r| match rng.gen_range(0..4) {
+            0 if zero_column[r] => 0.0,
+            1 => -rng.gen_range(0.0..3.0),
+            _ => rng.gen_range(-1.0..1.0),
+        })
+        .collect();
+    Zonotope::from_bounds(&region).affine(&AffineLayer::new(weights, bias))
+}
+
+/// The unstable coordinates of `z` with their bounds, in a random order.
+fn shuffled_unstable(rng: &mut StdRng, z: &Zonotope) -> Vec<(usize, f64, f64)> {
+    let mut order: Vec<(usize, f64, f64)> = (0..z.dim())
+        .filter_map(|i| {
+            let (lo, hi) = z.coord_bounds(i);
+            (lo < 0.0 && hi > 0.0).then_some((i, lo, hi))
+        })
+        .collect();
+    for k in (1..order.len()).rev() {
+        order.swap(k, rng.gen_range(0..=k));
+    }
+    order
+}
+
+proptest! {
+    /// The zonotope's fused relax-and-project pass matches the default
+    /// sequence bit for bit on random zonotopes and random relaxation
+    /// orders.
+    #[test]
+    fn fused_relax_and_project_matches_the_default(
+        seed in 0u64..10_000,
+        dim in 1usize..24,
+        gens in 1usize..40,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let z = random_zonotope(&mut rng, dim, gens);
+        let order = shuffled_unstable(&mut rng, &z);
+        check_relax_and_project(&z, &order);
+        // The same element with no unstable coordinate to relax: the
+        // pass only projects.
+        check_relax_and_project(&z, &[]);
+    }
+}
+
+/// Relaxation bounds far wider than a column's own bounds drive the rare
+/// branches: a relaxed column that comes out non-positive, which must be
+/// projected after the relaxation, one that stays positive only by its
+/// fresh row, and a λ that underflows to zero, which turns every entry of
+/// the column into a signed zero.
+#[test]
+fn fused_relax_and_project_matches_on_constructed_columns() {
+    // Column 0 lies in [-5, -3], so relaxing it with (-1, 1) gives
+    // λ = 0.5 and upper bound 0.5·(-4 + 1) + 0.25 + 0.25 = -1: it must be
+    // projected after the relaxation. Relaxing it with (-4, 1) instead
+    // gives λ = 0.2, μ = 0.4 and upper bound 0.2·(-4 + 1) + 0.4 + 0.4 =
+    // 0.2, positive only by the fresh row's |μ|. With (-1, 0.1), λ = 1/11
+    // and the upper bound is λ·(-3 + 1) < 0, though the column's unscaled
+    // radius would make it positive. Column 1 straddles zero
+    // and gets λ = 1e-300 / (1e-300 + 1e300), which underflows to 0, so
+    // its entries become +0.0 or -0.0 by their sign. Column 2 is stable
+    // negative and projected by its entry bounds; column 3 is a constant
+    // exactly zero and left alone.
+    let layer = AffineLayer::new(
+        Matrix::from_rows(&[&[1.0, 0.0], &[-0.5, 0.25], &[0.5, 0.5], &[0.0, 0.0]]),
+        vec![-4.0, 0.1, -2.0, 0.0],
+    );
+    let z = Zonotope::from_bounds(&Bounds::new(vec![-1.0; 2], vec![1.0; 2])).affine(&layer);
+    let relaxed = (0, -1.0, 1.0);
+    let kept = (0, -4.0, 1.0);
+    let narrow = (0, -1.0, 0.1);
+    let underflow = (1, -1e300, 1e-300);
+    assert_eq!(1e-300 / (1e-300 - -1e300), 0.0, "λ must underflow");
+    for order in [
+        vec![relaxed],
+        vec![kept],
+        vec![narrow],
+        vec![underflow],
+        vec![relaxed, underflow],
+        vec![underflow, kept],
+    ] {
+        check_relax_and_project(&z, &order);
+    }
+
+    // Each case really takes its branch: the column is projected after
+    // the relaxation with (-1, 1) and (-1, 0.1), stays positive with
+    // (-4, 1), and the underflowing λ leaves signed zeros.
+    for (relaxation, kept_positive) in [(relaxed, false), (narrow, false), (kept, true)] {
+        let mut out = z.clone();
+        reference_relax_and_project(&mut out, &[relaxation]);
+        assert_eq!(out.coord_bounds(0).1 > 0.0, kept_positive, "{relaxation:?}");
+    }
+    let mut zeroed = z.clone();
+    reference_relax_and_project(&mut zeroed, &[underflow]);
+    let column: Vec<f64> = zeroed.generator_rows().map(|g| g[1]).collect();
+    assert!(column.iter().any(|v| v.to_bits() == (-0.0f64).to_bits()));
+    assert!(column.iter().any(|v| v.to_bits() == 0));
 }

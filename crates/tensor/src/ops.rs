@@ -64,6 +64,24 @@ pub fn norm_inf(a: &[f64]) -> f64 {
     a.iter().fold(0.0, |m, x| m.max(x.abs()))
 }
 
+/// Whether any component is NaN.
+///
+/// Each fixed-size chunk is folded without a short circuit, so the
+/// compiler compares several lanes per instruction; the scan stops at the
+/// first chunk that holds a NaN. The poisoning checks of the abstract
+/// domains run it over whole generator matrices.
+///
+/// ```
+/// assert!(!tensor::ops::has_nan(&[1.0, f64::INFINITY, -0.0]));
+/// assert!(tensor::ops::has_nan(&[1.0, f64::NAN]));
+/// ```
+pub fn has_nan(a: &[f64]) -> bool {
+    const CHUNK: usize = 32;
+    let any = |c: &[f64]| c.iter().fold(false, |acc, x| acc | x.is_nan());
+    let mut chunks = a.chunks_exact(CHUNK);
+    chunks.any(any) || any(chunks.remainder())
+}
+
 /// Euclidean distance between two points.
 ///
 /// # Panics
@@ -141,6 +159,21 @@ mod tests {
         let mut x = vec![-2.0, 0.5, 9.0];
         clamp_box(&mut x, &[0.0, 0.0, 0.0], &[1.0, 1.0, 1.0]);
         assert_eq!(x, vec![0.0, 0.5, 1.0]);
+    }
+
+    #[test]
+    fn has_nan_finds_a_nan_at_every_position() {
+        for len in [0, 1, 31, 32, 33, 64, 100] {
+            let clean: Vec<f64> = (0..len)
+                .map(|i| if i % 3 == 0 { f64::INFINITY } else { -(i as f64) })
+                .collect();
+            assert!(!has_nan(&clean), "len {len}: no NaN");
+            for at in 0..len {
+                let mut poisoned = clean.clone();
+                poisoned[at] = f64::NAN;
+                assert!(has_nan(&poisoned), "len {len}: NaN at {at}");
+            }
+        }
     }
 
     proptest! {
