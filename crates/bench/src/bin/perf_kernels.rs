@@ -61,6 +61,29 @@ fn time_median<F: FnMut() -> f64>(reps: usize, mut f: F) -> f64 {
     median(times)
 }
 
+/// Median seconds of `naive` and of `fast`, the two sides alternating
+/// rep by rep, so that a drift in the host's speed (on a shared 2-vCPU
+/// VM it exceeded the difference measured between back-to-back blocks
+/// of reps) hits both sides alike.
+fn time_alternating<N, F>(reps: usize, mut naive: N, mut fast: F) -> (f64, f64)
+where
+    N: FnMut() -> f64,
+    F: FnMut() -> f64,
+{
+    let (mut naive_s, mut fast_s) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    let mut sink = 0.0f64;
+    for _ in 0..reps {
+        let start = Instant::now();
+        sink += naive();
+        naive_s.push(start.elapsed().as_secs_f64());
+        let start = Instant::now();
+        sink += fast();
+        fast_s.push(start.elapsed().as_secs_f64());
+    }
+    assert!(sink.is_finite(), "benchmark computation poisoned");
+    (median(naive_s), median(fast_s))
+}
+
 fn deterministic_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     Matrix::from_fn(rows, cols, |r, c| {
         (((r * 31 + c * 17) as f64 + seed as f64) * 0.193).sin()
@@ -109,7 +132,7 @@ fn bench_zonotope_affine(neurons: usize, generators: usize, reps: usize) -> Samp
     });
     let mut ws = Workspace::new();
     let fast_s = time_median(reps, || {
-        let out = z.affine_ws(&layer, &mut ws);
+        let out = z.affine_ws(&layer, None, &mut ws);
         let probe = out.center()[0];
         out.recycle(&mut ws);
         probe
@@ -213,28 +236,61 @@ fn bench_simd_affine(neurons: usize, generators: usize, reps: usize) -> Sample {
     }
 }
 
-/// The fused zonotope affine at the zoo's own shape: mnist-9x64's 64→64
-/// hidden layers carry about 176 generators, and that shape takes most
-/// of the e2ebench affine time. The `avx2` arm (naive) against the
-/// active arm (fast), 100 calls per timing. Where the active arm is
-/// `avx2` itself the ratio is 1x by construction, and hosts without
-/// AVX2 time the active arm on both sides, so no gate applies.
+/// The zonotope affine at the zoo's own shape: mnist-9x64's 64→64
+/// hidden layers carry about 193 generators, and that shape takes most
+/// of the e2ebench affine time. The active arm's packed generator
+/// product (naive, `zonotope_affine`) against its product from the
+/// layer's `Wᵀ` as a network holds it (fast, `matvec_bias` plus
+/// `matmul_transb_wt`, what a zonotope gets from the checked
+/// propagation), 100 calls per timing, after checking that both give
+/// the same bits. Only
+/// the `avx512` arm reads `Wᵀ`; on every other arm both sides run the
+/// same kernel and the ratio is 1x by construction, so no gate applies.
 fn bench_zoo_affine(reps: usize) -> Sample {
     const CALLS: usize = 100;
-    let (neurons, generators) = (64, 176);
+    let (neurons, generators) = (64, 193);
     let active = kernels::active();
-    let avx2 = kernels::available()
-        .into_iter()
-        .find(|b| b.name() == "avx2")
-        .unwrap_or(active);
+    let bias: Vec<f64> = (0..neurons).map(|r| (r as f64 * 0.71).cos()).collect();
+    let layer = AffineLayer::new(deterministic_matrix(neurons, neurons, 21), bias.clone());
+    let center: Vec<f64> = (0..neurons).map(|i| (i as f64 * 0.29).sin()).collect();
+    let gens = deterministic_matrix(generators, neurons, 23);
+    // The network's own aligned copy of `Wᵀ`; an arm that does not read
+    // it builds none and ignores the plain transpose it gets instead.
+    let net = nn::Network::new(neurons, vec![nn::Layer::Affine(layer.clone())]).expect("one affine layer");
+    let plain_t = layer.weights.transpose();
+    let wt = net.transposed().and_then(|t| t[0].as_ref()).map_or(plain_t.as_slice(), |t| t.as_slice());
+    let (w, g) = (layer.weights.as_slice(), gens.as_slice());
+    let (mut packed_c, mut packed) = (vec![0.0; neurons], vec![0.0; generators * neurons]);
+    let (mut wt_c, mut from_wt) = (vec![0.0; neurons], vec![f64::NAN; generators * neurons]);
+    active.zonotope_affine(w, &bias, &center, g, &mut packed_c, &mut packed);
+    active.matmul_transb_wt(g, w, wt, generators, neurons, neurons, &mut from_wt);
+    assert!(
+        packed.iter().zip(&from_wt).all(|(a, b)| a.to_bits() == b.to_bits()),
+        "zoo_affine: the Wᵀ product differs from the packed one"
+    );
+    let (naive_s, fast_s) = time_alternating(
+        reps,
+        || {
+            for _ in 0..CALLS {
+                active.zonotope_affine(w, &bias, &center, g, &mut packed_c, &mut packed);
+            }
+            packed_c[0] + packed[packed.len() - 1]
+        },
+        || {
+            for _ in 0..CALLS {
+                active.matvec_bias(w, &center, &bias, &mut wt_c);
+                active.matmul_transb_wt(g, w, wt, generators, neurons, neurons, &mut from_wt);
+            }
+            wt_c[0] + from_wt[from_wt.len() - 1]
+        },
+    );
     Sample {
         name: "zoo_affine",
-        naive_s: time_fused_affine(avx2, neurons, generators, CALLS, reps),
-        fast_s: time_fused_affine(active, neurons, generators, CALLS, reps),
+        naive_s,
+        fast_s,
         note: format!(
-            "{} arm vs {}, {neurons} neurons x {generators} generators, {CALLS} calls",
-            active.name(),
-            avx2.name()
+            "{} arm, packed vs Wᵀ generator product, {neurons} neurons x {generators} generators, {CALLS} calls",
+            active.name()
         ),
     }
 }
@@ -292,12 +348,13 @@ fn bench_region_throughput(width: usize, depth: usize, reps: usize) -> Sample {
         e.margin_lower_bound(0)
     });
     let mut ws = Workspace::new();
+    let transposed = net.transposed();
     let fast_s = time_median(reps, || {
         let mut e = Zonotope::from_bounds(&region);
-        for layer in net.layers() {
+        for (k, layer) in net.layers().iter().enumerate() {
             e = match layer {
                 nn::Layer::Affine(a) => {
-                    let next = e.affine_ws(a, &mut ws);
+                    let next = e.affine_ws(a, transposed.and_then(|t| t[k].as_ref()), &mut ws);
                     e.recycle(&mut ws);
                     next
                 }
@@ -516,10 +573,11 @@ fn scan_every_layer_margin(
     if scalar_poisoned(&e) {
         return f64::NAN;
     }
-    for layer in net.layers() {
+    let transposed = net.transposed();
+    for (k, layer) in net.layers().iter().enumerate() {
         e = match layer {
             nn::Layer::Affine(a) => {
-                let next = e.affine_ws(a, ws);
+                let next = e.affine_ws(a, transposed.and_then(|t| t[k].as_ref()), ws);
                 e.recycle(ws);
                 next
             }
@@ -560,32 +618,28 @@ fn bench_zoo_checked_propagation(reps: usize) -> Sample {
         .collect();
     let target = net.classify(&regions[0].center());
     let choice = DomainChoice::powerset(BaseDomain::Zonotope, 2);
-    let mut ws = Workspace::new();
+    let (mut naive_ws, mut fast_ws) = (Workspace::new(), Workspace::new());
     for region in &regions {
-        let naive = scan_every_layer_margin(&net, region, target, &mut ws);
-        let (_, fast) = domains::analyze_margin_checked_ws(&net, region, target, choice, &mut ws);
+        let naive = scan_every_layer_margin(&net, region, target, &mut naive_ws);
+        let (_, fast) = domains::analyze_margin_checked_ws(&net, region, target, choice, &mut fast_ws);
         assert_eq!(naive.to_bits(), fast.to_bits(), "zoo_checked_propagation margin");
     }
-    // The two sides alternate rep by rep, so that a drift in the host's
-    // speed (on a shared 2-vCPU VM it exceeded the difference measured
-    // between back-to-back blocks of reps) hits both sides alike.
-    let (mut naive, mut fast) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
-    let mut sink = 0.0f64;
-    for _ in 0..reps {
-        let start = Instant::now();
-        for c in 0..CALLS {
-            sink += scan_every_layer_margin(&net, &regions[c % regions.len()], target, &mut ws);
-        }
-        naive.push(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        for c in 0..CALLS {
-            let region = &regions[c % regions.len()];
-            sink += domains::analyze_margin_checked_ws(&net, region, target, choice, &mut ws).1;
-        }
-        fast.push(start.elapsed().as_secs_f64());
-    }
-    assert!(sink.is_finite(), "benchmark computation poisoned");
-    let (naive_s, fast_s) = (median(naive), median(fast));
+    let (naive_s, fast_s) = time_alternating(
+        reps,
+        || {
+            (0..CALLS)
+                .map(|c| scan_every_layer_margin(&net, &regions[c % regions.len()], target, &mut naive_ws))
+                .sum()
+        },
+        || {
+            (0..CALLS)
+                .map(|c| {
+                    let region = &regions[c % regions.len()];
+                    domains::analyze_margin_checked_ws(&net, region, target, choice, &mut fast_ws).1
+                })
+                .sum()
+        },
+    );
     Sample {
         name: "zoo_checked_propagation",
         naive_s,

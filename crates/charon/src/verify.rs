@@ -1572,11 +1572,12 @@ pub(crate) fn run_selection(
             // the ReLU rewrites the element it is handed in place.
             use domains::AbstractElement as _;
             let mut element = domains::Zonotope::from_bounds(region);
+            let transposed = net.transposed();
             let mut relu_idx = 0;
-            for layer in net.layers() {
+            for (k, layer) in net.layers().iter().enumerate() {
                 element = match layer {
                     nn::Layer::Affine(a) => {
-                        let next = element.affine_ws(a, ws);
+                        let next = element.affine_ws(a, transposed.and_then(|t| t[k].as_ref()), ws);
                         element.recycle(ws);
                         next
                     }

@@ -24,6 +24,10 @@ pub struct Bounds {
 impl Bounds {
     /// Creates a box from per-dimension lower and upper bounds.
     ///
+    /// A NaN bound is admitted: the bounds of a poisoned element hold
+    /// NaN, and so do those of an element that holds none when a bound
+    /// is `∞ - ∞` or `0 · ∞`. [`Bounds::has_nan`] reports it.
+    ///
     /// # Panics
     ///
     /// Panics if the vectors have different lengths or if some
@@ -31,7 +35,7 @@ impl Bounds {
     pub fn new(lower: Vec<f64>, upper: Vec<f64>) -> Self {
         assert_eq!(lower.len(), upper.len(), "bounds length mismatch");
         for (l, u) in lower.iter().zip(upper.iter()) {
-            assert!(l <= u, "lower bound {l} exceeds upper bound {u}");
+            assert!(l <= u || l.is_nan() || u.is_nan(), "lower bound {l} exceeds upper bound {u}");
         }
         Bounds { lower, upper }
     }
@@ -114,12 +118,12 @@ impl Bounds {
         tensor::ops::argmax(&self.widths())
     }
 
-    /// Whether any bound is NaN.
+    /// Whether any bound is NaN: the box is poisoned.
     ///
-    /// NaN bounds cannot arise through [`Bounds::new`] (the order check
-    /// rejects them), but they can slip in through [`Bounds::point`] or
-    /// arithmetic on already-poisoned data; such a box poisons every
-    /// comparison made against it.
+    /// NaN bounds come from the bounds of an abstract element (see
+    /// [`Bounds::new`]), from [`Bounds::point`] of a NaN point or from a
+    /// join with a poisoned box; such a box poisons every comparison
+    /// made against it.
     pub fn has_nan(&self) -> bool {
         tensor::ops::has_nan(&self.lower) || tensor::ops::has_nan(&self.upper)
     }
@@ -186,7 +190,9 @@ impl Bounds {
         tensor::ops::clamp_box(x, &self.lower, &self.upper);
     }
 
-    /// The smallest box containing both `self` and `other`.
+    /// The smallest box containing both `self` and `other`. A NaN bound
+    /// on either side is NaN in the join, so a poisoned box is never
+    /// dropped from it.
     ///
     /// # Panics
     ///
@@ -198,13 +204,13 @@ impl Bounds {
                 .lower
                 .iter()
                 .zip(other.lower.iter())
-                .map(|(a, b)| a.min(*b))
+                .map(|(a, b)| crate::min_or_nan(*a, *b))
                 .collect(),
             upper: self
                 .upper
                 .iter()
                 .zip(other.upper.iter())
-                .map(|(a, b)| a.max(*b))
+                .map(|(a, b)| crate::max_or_nan(*a, *b))
                 .collect(),
         }
     }
@@ -265,6 +271,29 @@ mod tests {
         assert!(b.contains(&[1.0]));
         assert!(!b.contains(&[1.0001]));
         assert!(!b.contains(&[0.5, 0.5]));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds upper bound")]
+    fn inverted_bounds_panic() {
+        Bounds::new(vec![0.0, 1.0], vec![1.0, 0.5]);
+    }
+
+    #[test]
+    fn nan_bounds_are_admitted_and_reported() {
+        let b = Bounds::new(vec![f64::NAN, 0.0], vec![f64::INFINITY, f64::NAN]);
+        assert!(b.has_nan());
+        assert!(!Bounds::new(vec![0.0], vec![f64::INFINITY]).has_nan());
+    }
+
+    #[test]
+    fn join_keeps_a_poisoned_bound() {
+        let a = Bounds::new(vec![f64::NAN, 0.0], vec![1.0, 1.0]);
+        let b = Bounds::new(vec![-1.0, 0.5], vec![0.5, f64::NAN]);
+        for j in [a.join(&b), b.join(&a)] {
+            assert!(j.lower()[0].is_nan() && j.upper()[1].is_nan(), "{j:?}");
+            assert_eq!((j.upper()[0], j.lower()[1]), (1.0, 0.0));
+        }
     }
 
     #[test]

@@ -410,6 +410,23 @@ mod tests {
             .is_nan());
     }
 
+    /// An identity layer on that region makes interval bounds of
+    /// `0 · ∞`: the analysis reports them as NaN bounds and a NaN margin
+    /// instead of panicking.
+    #[test]
+    fn a_zero_times_infinity_bound_is_reported_not_a_panic() {
+        let identity = AffineLayer::new(tensor::Matrix::identity(3), vec![0.0; 3]);
+        let net = Network::new(3, vec![Layer::Affine(identity)]).unwrap();
+        let region = Bounds::new(
+            vec![f64::INFINITY, 0.0, -1.0],
+            vec![f64::INFINITY, f64::INFINITY, 0.0],
+        );
+        let dp = DeepPoly::analyze(&net, &region);
+        assert!(dp.bounds().has_nan());
+        assert!(dp.margin_lower_bound(0).is_nan());
+        assert!(!verifies(&net, &region, 0));
+    }
+
     #[test]
     fn exact_on_affine_networks() {
         let layer = AffineLayer::new(

@@ -89,7 +89,7 @@ impl AbstractElement for Interval {
         Interval { lower, upper }
     }
 
-    fn affine_ws(&self, layer: &AffineLayer, ws: &mut Workspace) -> Self {
+    fn affine_ws(&self, layer: &AffineLayer, _wt: Option<&nn::Transposed>, ws: &mut Workspace) -> Self {
         assert_eq!(self.dim(), layer.input_dim(), "affine dimension mismatch");
         let out = layer.output_dim();
         let mut lower = ws.take(out);

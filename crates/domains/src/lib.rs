@@ -217,10 +217,18 @@ pub trait AbstractElement: Clone + std::fmt::Debug + Sized {
 
     /// [`AbstractElement::affine`] writing into scratch buffers from `ws`.
     ///
-    /// Must compute bit-identical results to `affine`; the default simply
-    /// delegates. Domains that override this take their output buffers
-    /// from the workspace instead of allocating.
-    fn affine_ws(&self, layer: &nn::AffineLayer, _ws: &mut Workspace) -> Self {
+    /// `wt` is the layer's transposed weights where the caller holds them
+    /// ([`nn::Network::transposed`]); a domain may read them for a faster
+    /// product. Must compute bit-identical results to `affine`, with or
+    /// without `wt`; the default simply delegates. Domains that override
+    /// this take their output buffers from the workspace instead of
+    /// allocating.
+    fn affine_ws(
+        &self,
+        layer: &nn::AffineLayer,
+        _wt: Option<&nn::Transposed>,
+        _ws: &mut Workspace,
+    ) -> Self {
         self.affine(layer)
     }
 
@@ -323,9 +331,11 @@ pub fn propagate<E: AbstractElement>(net: &Network, element: E) -> E {
 /// Propagates an abstract element through a network with a per-layer
 /// poisoning check, recycling buffers through a scratch [`Workspace`].
 ///
-/// Affine layers use [`AbstractElement::affine_ws`] and each intermediate
-/// element's buffers are recycled as soon as the next layer's output
-/// exists; ReLU layers rewrite the element they are handed in place.
+/// Affine layers use [`AbstractElement::affine_ws`], handed the network's
+/// transposed weights where the active kernel arm reads them
+/// ([`nn::Network::transposed`]), and each intermediate element's buffers
+/// are recycled as soon as the next layer's output exists; ReLU layers
+/// rewrite the element they are handed in place.
 /// Returns `None` as soon as any intermediate element contains NaN (see
 /// [`AbstractElement::is_poisoned`]); the result of further propagation
 /// would be meaningless.
@@ -366,12 +376,13 @@ pub fn propagate_checked_ws<E: AbstractElement>(
     if !feeds_relu(0) && element.is_poisoned() {
         return None;
     }
+    let transposed = net.transposed();
     let mut current = element;
     let mut start = Instant::now();
     for (k, layer) in layers.iter().enumerate() {
         let next = match layer {
             Layer::Affine(a) => {
-                let next = current.affine_ws(a, ws);
+                let next = current.affine_ws(a, transposed.and_then(|t| t[k].as_ref()), ws);
                 current.recycle(ws);
                 Some(next)
             }

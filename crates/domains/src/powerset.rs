@@ -222,12 +222,12 @@ impl<D: ReluCoordOps> AbstractElement for Powerset<D> {
         }
     }
 
-    fn affine_ws(&self, layer: &AffineLayer, ws: &mut Workspace) -> Self {
+    fn affine_ws(&self, layer: &AffineLayer, wt: Option<&nn::Transposed>, ws: &mut Workspace) -> Self {
         Powerset {
             disjuncts: self
                 .disjuncts
                 .iter()
-                .map(|d| d.affine_ws(layer, ws))
+                .map(|d| d.affine_ws(layer, wt, ws))
                 .collect(),
             budget: self.budget,
         }
@@ -294,6 +294,19 @@ mod tests {
         ] {
             assert!(margin.is_nan(), "margin {margin}");
         }
+    }
+
+    /// The same `∞ - ∞` lower bound in a disjunct survives the join of
+    /// the disjuncts' bounds instead of being skipped or panicking.
+    #[test]
+    fn an_infinite_centre_and_radius_poison_the_joined_bounds() {
+        let region = Bounds::new(vec![0.0, 1.0], vec![f64::INFINITY, 2.0]);
+        let mut p = Powerset::<Zonotope>::with_budget(&region, 2);
+        p.disjuncts.push(Zonotope::from_bounds(&Bounds::new(vec![-1.0, 1.0], vec![0.0, 2.0])));
+        let b = p.bounds();
+        assert!(b.has_nan());
+        assert!(b.lower()[0].is_nan(), "{b:?}");
+        assert_eq!((b.upper()[0], b.lower()[1], b.upper()[1]), (f64::INFINITY, 1.0, 2.0));
     }
 
     #[test]

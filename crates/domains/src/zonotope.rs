@@ -272,10 +272,13 @@ impl AbstractElement for Zonotope {
     fn affine(&self, layer: &AffineLayer) -> Self {
         // A fresh workspace has nothing pooled, so `take` allocates both
         // output buffers.
-        self.affine_ws(layer, &mut Workspace::new())
+        self.affine_ws(layer, None, &mut Workspace::new())
     }
 
-    fn affine_ws(&self, layer: &AffineLayer, ws: &mut Workspace) -> Self {
+    /// With `wt`, the generator product reads the layer's `Wᵀ`
+    /// ([`tensor::Backend::matmul_transb_wt`]), which gives the same bits
+    /// as the packed product without it.
+    fn affine_ws(&self, layer: &AffineLayer, wt: Option<&nn::Transposed>, ws: &mut Workspace) -> Self {
         assert_eq!(self.dim(), layer.input_dim(), "affine dimension mismatch");
         let out_dim = layer.output_dim();
         let mut center = ws.take(out_dim);
@@ -287,14 +290,30 @@ impl AbstractElement for Zonotope {
         // are almost never zero, and the O(G·n) scan is pure overhead.
         // The fused kernel streams the flat generator buffer through the
         // runtime-selected SIMD arm (see `tensor::kernels`).
-        tensor::kernels::active().zonotope_affine(
-            layer.weights.as_slice(),
-            &layer.bias,
-            &self.center,
-            self.gens.as_slice(),
-            &mut center,
-            &mut gdata,
-        );
+        let kernels = tensor::kernels::active();
+        let weights = layer.weights.as_slice();
+        match wt {
+            Some(wt) => {
+                kernels.matvec_bias(weights, &self.center, &layer.bias, &mut center);
+                kernels.matmul_transb_wt(
+                    self.gens.as_slice(),
+                    weights,
+                    wt.as_slice(),
+                    rows,
+                    out_dim,
+                    self.dim(),
+                    &mut gdata,
+                );
+            }
+            None => kernels.zonotope_affine(
+                weights,
+                &layer.bias,
+                &self.center,
+                self.gens.as_slice(),
+                &mut center,
+                &mut gdata,
+            ),
+        }
         Zonotope {
             center,
             gens: Matrix::from_vec(rows, out_dim, gdata),
@@ -745,6 +764,18 @@ mod tests {
         assert!(z.margin_lower_bound(0).is_nan());
     }
 
+    /// A centre entry and its radius both `+∞` give the lower bound
+    /// `∞ - ∞`: `bounds` reports it as NaN instead of panicking.
+    #[test]
+    fn an_infinite_centre_and_radius_give_nan_bounds_not_a_panic() {
+        let z = Zonotope::from_bounds(&Bounds::new(vec![0.0, 1.0], vec![f64::INFINITY, 2.0]));
+        assert!(!z.is_poisoned());
+        let b = z.bounds();
+        assert!(b.has_nan());
+        assert!(b.lower()[0].is_nan());
+        assert_eq!((b.upper()[0], b.lower()[1], b.upper()[1]), (f64::INFINITY, 1.0, 2.0));
+    }
+
     #[test]
     fn from_bounds_bounds_roundtrip() {
         let b = Bounds::new(vec![-1.0, 2.0], vec![1.0, 4.0]);
@@ -775,10 +806,10 @@ mod tests {
         let z = Zonotope::from_bounds(&Bounds::new(vec![-1.0, 0.0], vec![1.0, 2.0]));
         let mut ws = Workspace::new();
         // Run twice so the second call exercises recycled (dirty) buffers.
-        let first = z.affine_ws(&layer, &mut ws);
+        let first = z.affine_ws(&layer, None, &mut ws);
         assert_eq!(first, z.affine(&layer));
         first.recycle(&mut ws);
-        let second = z.affine_ws(&layer, &mut ws);
+        let second = z.affine_ws(&layer, None, &mut ws);
         assert_eq!(second, z.affine(&layer));
     }
 

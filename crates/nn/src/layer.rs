@@ -76,7 +76,7 @@ impl AffineLayer {
         assert_eq!(x.len(), self.input_dim(), "matvec dimension mismatch");
         y.resize(self.output_dim(), 0.0);
         let w = self.weights.as_slice();
-        tensor::kernels::active().matvec_wt(w, wt.weights.as_slice(), x, wt.finite, y);
+        tensor::kernels::active().matvec_wt(w, wt.as_slice(), x, wt.finite, y);
         self.add_bias(y);
     }
 

@@ -58,7 +58,7 @@ pub mod train;
 
 pub use batch::BatchTrace;
 pub use layer::{AffineLayer, Layer, MaxPoolLayer};
-pub use network::{margin, Network};
+pub use network::{margin, Network, Transposed};
 pub use trace::Trace;
 
 /// Error produced when assembling or deserializing a network fails.

@@ -32,23 +32,68 @@ pub struct Network {
     input_dim: usize,
     output_dim: usize,
     layers: Vec<Layer>,
-    /// `Wᵀ` of every affine layer (`None` for the other layers), for the
-    /// forward kernel that reads it ([`tensor::Backend::matvec_wt`]).
-    /// Built on the first [`Network::forward`], and only where the active
-    /// kernel arm reads it, so a network that never runs one, or runs on
-    /// another arm, pays nothing; made once per network, not per trace.
-    /// Layers are immutable after [`Network::new`] (training builds a
-    /// new network), so the copy never goes stale. Equality and `Debug`
-    /// ignore it.
+    /// `Wᵀ` of every affine layer (`None` for the other layers), one copy
+    /// per layer for both kernels that read it: the concrete forward pass
+    /// ([`tensor::Backend::matvec_wt`]) and the zonotope generator product
+    /// ([`tensor::Backend::matmul_transb_wt`], reached through
+    /// [`Network::transposed`]). Built on the first call that asks for it,
+    /// and only where the active kernel arm reads it, so a network that
+    /// never runs one, or runs on another arm, pays nothing; made once per
+    /// network, not per trace or per thread. Layers are immutable after
+    /// [`Network::new`] (training builds a new network), so the copy
+    /// never goes stale. Equality and `Debug` ignore it.
     transposed: OnceLock<Box<[Option<Transposed>]>>,
 }
 
-/// The transpose of one affine layer's weights.
-#[derive(Clone)]
-pub(crate) struct Transposed {
-    pub(crate) weights: Matrix,
+/// The transpose of one affine layer's weights, as [`Network::transposed`]
+/// hands it out: `input_dim × output_dim`, row-major.
+///
+/// The values start on a 64-byte boundary, so on a layer whose width is
+/// a multiple of eight every row of `Wᵀ` does too, and the `avx512`
+/// kernels' 8-wide loads never straddle two cache lines.
+pub struct Transposed {
+    /// `Wᵀ` from `buf[start]` on; `start` is the first 64-byte boundary
+    /// of the buffer, which never reallocates.
+    buf: Vec<f64>,
+    start: usize,
     /// Every weight is finite, so the kernel may skip zero inputs.
     pub(crate) finite: bool,
+}
+
+impl Transposed {
+    /// The transpose of `weights`.
+    fn new(weights: &Matrix) -> Self {
+        let (rows, cols) = (weights.rows(), weights.cols());
+        let w = weights.as_slice();
+        Transposed::aligned(
+            (0..rows * cols).map(|e| w[(e % rows) * cols + e / rows]),
+            rows * cols,
+            w.iter().all(|v| v.is_finite()),
+        )
+    }
+
+    /// `len` values from `values`, stored from a 64-byte boundary.
+    fn aligned(values: impl Iterator<Item = f64>, len: usize, finite: bool) -> Self {
+        // Seven spare values cover any 8-byte-aligned start.
+        let mut buf: Vec<f64> = Vec::with_capacity(len + 7);
+        let start = buf.as_ptr().align_offset(64).min(7);
+        buf.resize(start, 0.0);
+        buf.extend(values.take(len));
+        Transposed { buf, start, finite }
+    }
+
+    /// `Wᵀ`, `input_dim × output_dim` row-major.
+    pub fn as_slice(&self) -> &[f64] {
+        &self.buf[self.start..]
+    }
+}
+
+/// A clone is aligned afresh: its buffer is a new allocation.
+impl Clone for Transposed {
+    fn clone(&self) -> Self {
+        let values = self.as_slice();
+        Transposed::aligned(values.iter().copied(), values.len(), self.finite)
+    }
 }
 
 impl PartialEq for Network {
@@ -101,7 +146,9 @@ impl Network {
     /// The transposed weights per layer (`None` for the layers that are
     /// not affine), built on the first call; `None` when the active
     /// kernel arm does not read them ([`tensor::Backend::reads_transpose`]).
-    pub(crate) fn transposed(&self) -> Option<&[Option<Transposed>]> {
+    /// The forward pass and the checked zonotope propagation
+    /// (`domains::propagate_checked_ws`) read the same copy.
+    pub fn transposed(&self) -> Option<&[Option<Transposed>]> {
         if !tensor::kernels::active().reads_transpose() {
             return None;
         }
@@ -109,10 +156,7 @@ impl Network {
             self.layers
                 .iter()
                 .map(|layer| match layer {
-                    Layer::Affine(a) => Some(Transposed {
-                        weights: a.weights.transpose(),
-                        finite: a.weights.as_slice().iter().all(|w| w.is_finite()),
-                    }),
+                    Layer::Affine(a) => Some(Transposed::new(&a.weights)),
                     Layer::Relu | Layer::MaxPool(_) => None,
                 })
                 .collect()
@@ -330,6 +374,16 @@ mod tests {
         assert_eq!(net, net.clone());
         assert_eq!(format!("{net:?}"), debug);
         assert!(!debug.contains("transposed"), "{debug}");
+    }
+
+    #[test]
+    fn the_transposed_copy_is_the_transpose_from_a_64_byte_boundary() {
+        let w = Matrix::from_fn(3, 5, |r, c| (r * 5 + c) as f64 - 0.5);
+        let t = Transposed::new(&w);
+        for copy in [&t, &t.clone()] {
+            assert_eq!(copy.as_slice(), w.transpose().as_slice());
+            assert_eq!(copy.as_slice().as_ptr() as usize % 64, 0);
+        }
     }
 
     #[test]

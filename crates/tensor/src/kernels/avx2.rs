@@ -26,6 +26,7 @@ use super::Backend;
 pub(super) static BACKEND: Backend = Backend {
     name: "avx2",
     matmul_transb,
+    matmul_transb_wt: None,
     gemm,
     matvec,
     matvec_bias,

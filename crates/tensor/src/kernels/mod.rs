@@ -1,7 +1,9 @@
 //! Runtime-dispatched SIMD kernel backends.
 //!
 //! The hot kernels of the verifier — `matmul_transb` (zonotope generator
-//! propagation, batched PGD's forward pass), `gemm`, `matvec`/`matvec_bias`
+//! propagation, batched PGD's forward pass), `matmul_transb_wt` (the
+//! same product from a network's cached `Wᵀ`, for the zonotope
+//! transformer of a checked propagation), `gemm`, `matvec`/`matvec_bias`
 //! (zonotope centers, policy features), `matvec_wt` (the concrete
 //! forward pass of `nn::Network::forward`, from `W` and its transpose)
 //! and `matvec_transpose` (`Wᵀ y`, the backward pass, DeepPoly's
@@ -15,18 +17,21 @@
 //!   fused multiply-add, 2×4 register micro-kernel). Selected at runtime
 //!   when `is_x86_feature_detected!` confirms both features.
 //! * **avx512** — the AVX2 arm with an 8-wide `matmul_transb` (4×8
-//!   register tile over packed right rows) and an 8-wide `matvec_wt`
-//!   that reads `Wᵀ`, both performing exactly the AVX2 arm's arithmetic;
-//!   `gemm`, `matvec` and `matvec_bias` are the AVX2 functions. Selected
-//!   ahead of `avx2` when `avx512f`, `avx2` and `fma` are all detected.
+//!   register tile over packed right rows), an 8-wide `matmul_transb_wt`
+//!   that reads `Bᵀ` (one lane per output column) and an 8-wide
+//!   `matvec_wt` that reads `Wᵀ` (one lane per output row), all
+//!   performing exactly the AVX2 arm's arithmetic; `gemm`, `matvec` and
+//!   `matvec_bias` are the AVX2 functions. Selected ahead of `avx2` when
+//!   `avx512f`, `avx2` and `fma` are all detected.
 //! * **neon** — `std::arch::aarch64` NEON kernels (2-wide `f64`).
 //!   NEON is architecturally guaranteed on aarch64, so it is the default
 //!   arm there.
 //!
-//! Only the `avx512` arm reads the transpose that `matvec_wt` is handed;
-//! every other arm computes `matvec_wt` as its own `matvec` of `W`, and
-//! [`Backend::reads_transpose`] says which, so callers build `Wᵀ` only
-//! where it is read.
+//! Only the `avx512` arm reads the transpose that `matvec_wt` and
+//! `matmul_transb_wt` are handed; every other arm computes them as its
+//! own `matvec` and `matmul_transb`, and [`Backend::reads_transpose`]
+//! says which, so callers build `Wᵀ` only where it is read. A network
+//! keeps one such copy per affine layer for both.
 //!
 //! Selection happens **once** per process: [`active`] probes the CPU on
 //! first use and caches a `&'static Backend` in a [`OnceLock`]. Setting
@@ -42,9 +47,11 @@
 //! bit-exact, and the same suite checks them with `to_bits`: the
 //! `avx512` arm equals the `avx2` arm on every entry, so a host's
 //! verdicts and certificates do not depend on which of the two it runs;
-//! and `matvec_transpose` is the scalar arm's loop (ascending rows, zero
-//! entries of `y` skipped, a separate multiply and add) on every arm, so
-//! gradients never depend on the arm at all.
+//! `matvec_wt` and `matmul_transb_wt` return the bits of the same arm's
+//! `matvec` and `matmul_transb`, so handing a kernel `Wᵀ` changes no
+//! answer; and `matvec_transpose` is the scalar arm's loop (ascending
+//! rows, zero entries of `y` skipped, a separate multiply and add) on
+//! every arm, so gradients never depend on the arm at all.
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
@@ -59,6 +66,9 @@ use std::sync::OnceLock;
 /// `out = A · Bᵀ` over flat row-major buffers: `a` is `m×k`, `b` is
 /// `n×k`, `out` is `m×n`. Overwrites `out`.
 type MatmulTransbFn = fn(&[f64], &[f64], usize, usize, usize, &mut [f64]);
+/// `out = A · Bᵀ` from `b` (`n×k` row-major) and its transpose `bt`
+/// (`k×n`), as [`MatmulTransbFn`] otherwise.
+type MatmulTransbWtFn = fn(&[f64], &[f64], &[f64], usize, usize, usize, &mut [f64]);
 /// `out = A · B` over flat row-major buffers: `a` is `m×k`, `b` is
 /// `k×n`, `out` is `m×n`. Overwrites `out`.
 type GemmFn = fn(&[f64], &[f64], usize, usize, usize, &mut [f64]);
@@ -81,6 +91,9 @@ type MatvecTransposeFn = fn(&[f64], &[f64], &mut [f64]);
 pub struct Backend {
     name: &'static str,
     matmul_transb: MatmulTransbFn,
+    /// `None` where the arm has no kernel that reads `Bᵀ`:
+    /// [`Backend::matmul_transb_wt`] then runs `matmul_transb`.
+    matmul_transb_wt: Option<MatmulTransbWtFn>,
     gemm: GemmFn,
     matvec: MatvecFn,
     matvec_bias: MatvecBiasFn,
@@ -108,6 +121,43 @@ impl Backend {
         assert_eq!(b.len(), n * k, "matmul_transb: rhs buffer length");
         assert_eq!(out.len(), m * n, "matmul_transb: output buffer length");
         (self.matmul_transb)(a, b, m, n, k, out);
+    }
+
+    /// `out = A · Bᵀ` for a caller that also holds `bt`, the transpose of
+    /// `b` (`k×n` row-major), such as the zonotope transformer of a
+    /// network's affine layer, whose `Bᵀ` is the layer's `Wᵀ`. Every arm
+    /// returns the bits of its own [`Backend::matmul_transb`].
+    ///
+    /// Only the `avx512` arm reads `bt`: one `zmm` lane per output
+    /// column, one accumulator per FMA chain, so the product needs no
+    /// horizontal sum and no packing of `b`. It does so where `Bᵀ` stays
+    /// in L1 (at most 32 KiB) and the output is a multiple of eight and
+    /// at least 16 columns wide, as on the zoo's hidden layers; other
+    /// shapes run its packed kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a buffer length disagrees with its dimensions or
+    /// `bt.len() != b.len()`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn matmul_transb_wt(
+        &self,
+        a: &[f64],
+        b: &[f64],
+        bt: &[f64],
+        m: usize,
+        n: usize,
+        k: usize,
+        out: &mut [f64],
+    ) {
+        assert_eq!(a.len(), m * k, "matmul_transb_wt: lhs buffer length");
+        assert_eq!(b.len(), n * k, "matmul_transb_wt: rhs buffer length");
+        assert_eq!(bt.len(), b.len(), "matmul_transb_wt: transposed rhs buffer length");
+        assert_eq!(out.len(), m * n, "matmul_transb_wt: output buffer length");
+        match self.matmul_transb_wt {
+            Some(kernel) => kernel(a, b, bt, m, n, k, out),
+            None => (self.matmul_transb)(a, b, m, n, k, out),
+        }
     }
 
     /// `out = A · B` on flat row-major buffers (`a`: `m×k`, `b`: `k×n`,
@@ -172,11 +222,12 @@ impl Backend {
         }
     }
 
-    /// Whether [`Backend::matvec_wt`] reads the transpose it is handed.
-    /// Only the `avx512` arm does; on every other arm a caller that holds
-    /// `Wᵀ` only for this kernel need not build it.
+    /// Whether [`Backend::matvec_wt`] and [`Backend::matmul_transb_wt`]
+    /// read the transpose they are handed. Only the `avx512` arm does; on
+    /// every other arm a caller that holds `Wᵀ` only for these kernels
+    /// need not build it.
     pub fn reads_transpose(&self) -> bool {
-        self.matvec_wt.is_some()
+        self.matvec_wt.is_some() || self.matmul_transb_wt.is_some()
     }
 
     /// `out = Wᵀ y` (`w`: `y.len()×out.len()` row-major, `out` fully

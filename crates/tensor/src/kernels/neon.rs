@@ -17,6 +17,7 @@ use super::Backend;
 pub(super) static BACKEND: Backend = Backend {
     name: "neon",
     matmul_transb,
+    matmul_transb_wt: None,
     gemm,
     matvec,
     matvec_bias,

@@ -13,6 +13,7 @@ use super::Backend;
 pub(super) static BACKEND: Backend = Backend {
     name: "scalar",
     matmul_transb,
+    matmul_transb_wt: None,
     gemm,
     matvec,
     matvec_bias,

@@ -8,7 +8,9 @@
 //! reproduce the `avx2` arm bit for bit
 //! (`avx512_matmul_transb_matches_avx2_bits`), every arm's `matvec_wt`
 //! must return its own `matvec`'s bits whatever it does with the
-//! transpose (`matvec_wt_matches_matvec_bits`), and every arm's
+//! transpose (`matvec_wt_matches_matvec_bits`), so must its
+//! `matmul_transb_wt` return its own `matmul_transb`'s
+//! (`matmul_transb_wt_matches_matmul_transb_bits`), and every arm's
 //! `matvec_transpose` must return the scalar loop's bits
 //! (`matvec_transpose_matches_the_scalar_loop_bits`).
 //! The comparison unit is the ULP of the *accumulation*, not of the
@@ -281,6 +283,13 @@ fn first_bit_difference(got: &[f64], want: &[f64]) -> Option<(usize, f64, f64)> 
         .map(|e| (e, got[e], want[e]))
 }
 
+/// [`first_bit_difference`], except that any two NaNs count as equal.
+fn first_difference_but_nan_payload(got: &[f64], want: &[f64]) -> Option<(usize, f64, f64)> {
+    (0..want.len())
+        .find(|&e| got[e].to_bits() != want[e].to_bits() && !(got[e].is_nan() && want[e].is_nan()))
+        .map(|e| (e, got[e], want[e]))
+}
+
 /// `matvec_wt` on `backend` against the same arm's `matvec`, bit for
 /// bit, with the zero skip allowed and not.
 fn check_matvec_wt(backend: &Backend, w: &[f64], x: &[f64], rows: usize) -> Result<(), String> {
@@ -357,6 +366,122 @@ proptest! {
             arm.matvec_transpose(&w, &y, &mut got);
             let differ = first_bit_difference(&got, &want);
             prop_assert!(differ.is_none(), "{} {}x{}: {:?}", arm.name(), rows, cols, differ);
+        }
+    }
+}
+
+/// Output widths for `matmul_transb_wt`: under one block of eight, each
+/// remainder of 16, 8 and 4, and the zoo's 32- and 64-wide layers.
+const WT_N: [usize; 20] = [1, 5, 8, 12, 16, 20, 31, 32, 33, 36, 40, 44, 47, 48, 56, 64, 67, 72, 100, 128];
+
+/// The values a poisoned entry takes: `+∞`, `-∞` and NaN.
+const POISON: [f64; 3] = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+
+/// `v` with `+0.0` at every `zero_every`-th entry and `-0.0` at the entry
+/// after it (none when 0), and `POISON[poison - 1]` at every 37th entry
+/// from `shift` on (none when `poison` is 0).
+fn signed_zeros_and_poison(mut v: Vec<f64>, zero_every: usize, poison: usize, shift: usize) -> Vec<f64> {
+    if zero_every > 0 {
+        for i in (0..v.len()).step_by(zero_every) {
+            v[i] = 0.0;
+            if i + 1 < v.len() {
+                v[i + 1] = -0.0;
+            }
+        }
+    }
+    if poison > 0 {
+        for x in v.iter_mut().skip(shift).step_by(37) {
+            *x = POISON[poison - 1];
+        }
+    }
+    v
+}
+
+proptest! {
+    /// `matmul_transb_wt` equals the same arm's `matmul_transb` bit for
+    /// bit on every arm: row counts under four and with each `m % 3`,
+    /// widths under one block of eight and with each remainder of 16, 8
+    /// and 4, every `k % 4` (`k < 4` too, where the tail is the whole
+    /// sum), `k` past the 512-wide k-tile, `±0` in both operands, and NaN
+    /// or `±∞` in the generators (`a`), the weights (`b`) or both.
+    ///
+    /// Where no NaN goes in, every NaN that comes out is made by the
+    /// arithmetic (`∞ - ∞`, `0 · ∞`), which always gives the same NaN, so
+    /// every entry must have the same bits. Where a NaN goes in, x86
+    /// passes on the payload of whichever NaN operand an instruction
+    /// reads first, and the order of an FMA's operands is the
+    /// compiler's choice, so there the NaN entries need only both be NaN.
+    #[test]
+    fn matmul_transb_wt_matches_matmul_transb_bits(
+        m in 1usize..40,
+        n_pick in 0usize..WT_N.len(),
+        k_pick in 0usize..200,
+        spread in 0usize..2,
+        zero_every in 0usize..5,
+        poison_a in 0usize..4,
+        poison_b in 0usize..4,
+        seed in 0u64..500,
+    ) {
+        let n = WT_N[n_pick];
+        // 1..=12 (all tail, or a short chain and a tail) three times in
+        // ten, 1..=100 half the time, and 510..550, across the k-tile.
+        let k = match k_pick {
+            0..=59 => k_pick % 12 + 1,
+            60..=159 => k_pick - 59,
+            _ => k_pick + 350,
+        };
+        // Magnitudes over twelve decades, or all of one size so that no
+        // term of a sum hides another's rounding.
+        let lhs = if spread == 1 { mixed_lhs(m * k, seed, 0) } else { filled(m * k, seed) };
+        let a = signed_zeros_and_poison(lhs, zero_every, poison_a, seed as usize % 37);
+        let b = signed_zeros_and_poison(filled(n * k, seed ^ 0x5a5a), zero_every, poison_b, seed as usize % 11);
+        let bt = transposed(&b, n, k);
+        for arm in kernels::available() {
+            let mut want = vec![f64::NAN; m * n];
+            arm.matmul_transb(&a, &b, m, n, k, &mut want);
+            let mut got = vec![f64::NAN; m * n];
+            arm.matmul_transb_wt(&a, &b, &bt, m, n, k, &mut got);
+            let differ = if poison_a == 3 || poison_b == 3 {
+                first_difference_but_nan_payload(&got, &want)
+            } else {
+                first_bit_difference(&got, &want)
+            };
+            prop_assert!(
+                differ.is_none(),
+                "{} matmul_transb_wt vs matmul_transb, {}x{}x{}: (entry, got, want) {:?}",
+                arm.name(),
+                m,
+                n,
+                k,
+                differ
+            );
+        }
+    }
+}
+
+/// `matmul_transb_wt` on the zoo's shapes (mnist-9x64's 64×64 layers
+/// with 193 generators, 64 → 32, 108 → 32 and 32×32), on either side of
+/// the 32 KiB `Bᵀ` the `avx512` kernel computes itself, and on inputs
+/// under eight wide, where the `k % 4` tail is most or all of each sum.
+#[test]
+fn matmul_transb_wt_matches_matmul_transb_bits_on_zoo_and_tail_shapes() {
+    let mut shapes = vec![(193, 64, 64), (150, 32, 64), (150, 32, 108), (98, 32, 32), (9, 64, 65), (9, 16, 256), (9, 16, 257)];
+    for k in 1..8 {
+        for (m, n) in [(4, 16), (5, 24), (7, 64), (3, 32)] {
+            shapes.push((m, n, k));
+        }
+    }
+    for (m, n, k) in shapes {
+        let a = filled(m * k, (m * 131 + k) as u64);
+        let b = filled(n * k, (n * 17 + k) as u64);
+        let bt = transposed(&b, n, k);
+        for arm in kernels::available() {
+            let mut want = vec![f64::NAN; m * n];
+            arm.matmul_transb(&a, &b, m, n, k, &mut want);
+            let mut got = vec![f64::NAN; m * n];
+            arm.matmul_transb_wt(&a, &b, &bt, m, n, k, &mut got);
+            let differ = first_bit_difference(&got, &want);
+            assert!(differ.is_none(), "{} {m}x{n}x{k}: {differ:?}", arm.name());
         }
     }
 }
