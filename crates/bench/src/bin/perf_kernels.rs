@@ -597,17 +597,30 @@ fn scan_every_layer_margin(
     margin
 }
 
-/// The propagation the verifier runs on every region:
-/// `analyze_margin_checked_ws` with the `(Z, 2)` powerset on mnist-9x64's
-/// shape, a 64 → 8×64 → 10 MLP, over small regions where the powerset
-/// splits and relaxes. Naive is [`scan_every_layer_margin`]; fast is the
-/// shipped propagation, which reads the check off each ReLU's bounds and
-/// scans only after the last layer, with the chunked
-/// `tensor::ops::has_nan`. Both run the same ReLU, so the sample times
-/// the checks alone. Both must give the same margins bit for bit, which
-/// the sample checks first.
-fn bench_zoo_checked_propagation(reps: usize) -> Sample {
-    const CALLS: usize = 40;
+/// The `(Z, 2)` analysis the verifier ran on every region before it went
+/// disjunct-major: the whole element through the checked propagation,
+/// layer by layer, then its margin. NaN when poisoned.
+fn layer_major_margin(
+    net: &nn::Network,
+    region: &Bounds,
+    target: usize,
+    ws: &mut Workspace,
+) -> f64 {
+    let element = Powerset::<Zonotope>::with_budget(region, 2);
+    match domains::propagate_checked_ws(net, element, ws) {
+        Some(e) => {
+            let margin = e.margin_lower_bound(target);
+            e.recycle(ws);
+            margin
+        }
+        None => f64::NAN,
+    }
+}
+
+/// mnist-9x64's shape, a 64 → 8×64 → 10 MLP, with eight small regions
+/// where the `(Z, 2)` powerset splits and relaxes, and the class of the
+/// first region's centre.
+fn zoo_powerset_regions() -> (nn::Network, Vec<Bounds>, usize) {
     let net = nn::train::random_mlp(64, &[64; 8], 10, 11);
     let regions: Vec<Bounds> = (0..8)
         .map(|p| {
@@ -617,11 +630,24 @@ fn bench_zoo_checked_propagation(reps: usize) -> Sample {
         })
         .collect();
     let target = net.classify(&regions[0].center());
-    let choice = DomainChoice::powerset(BaseDomain::Zonotope, 2);
+    (net, regions, target)
+}
+
+/// The checked propagation on [`zoo_powerset_regions`]. Naive is
+/// [`scan_every_layer_margin`]; fast is the shipped checked propagation,
+/// [`domains::propagate_checked_ws`], which reads the check off each
+/// ReLU's bounds and scans only after the last layer, with the chunked
+/// `tensor::ops::has_nan`. Both propagate the whole element layer by
+/// layer through the same ReLU, so the sample times the checks alone.
+/// Both must give the same margins bit for bit, which the sample checks
+/// first.
+fn bench_zoo_checked_propagation(reps: usize) -> Sample {
+    const CALLS: usize = 40;
+    let (net, regions, target) = zoo_powerset_regions();
     let (mut naive_ws, mut fast_ws) = (Workspace::new(), Workspace::new());
     for region in &regions {
         let naive = scan_every_layer_margin(&net, region, target, &mut naive_ws);
-        let (_, fast) = domains::analyze_margin_checked_ws(&net, region, target, choice, &mut fast_ws);
+        let fast = layer_major_margin(&net, region, target, &mut fast_ws);
         assert_eq!(naive.to_bits(), fast.to_bits(), "zoo_checked_propagation margin");
     }
     let (naive_s, fast_s) = time_alternating(
@@ -629,6 +655,59 @@ fn bench_zoo_checked_propagation(reps: usize) -> Sample {
         || {
             (0..CALLS)
                 .map(|c| scan_every_layer_margin(&net, &regions[c % regions.len()], target, &mut naive_ws))
+                .sum()
+        },
+        || {
+            (0..CALLS)
+                .map(|c| layer_major_margin(&net, &regions[c % regions.len()], target, &mut fast_ws))
+                .sum()
+        },
+    );
+    Sample {
+        name: "zoo_checked_propagation",
+        naive_s,
+        fast_s,
+        note: format!(
+            "propagate_checked_ws (Z, 2) + margin, 64 -> 8x64 -> 10 MLP, scan after every layer vs shipped, {CALLS} regions"
+        ),
+    }
+}
+
+/// The analysis the verifier runs on every region, on
+/// [`zoo_powerset_regions`]: naive is [`layer_major_margin`], fast is
+/// `analyze_margin_checked_ws` with `(Z, 2)`, which finishes the
+/// disjuncts one at a time once the element is full and stops at the
+/// first that cannot prove the margin. The sample first checks that both
+/// reach the same outcome on every region, and the same margin bits
+/// where it is proved.
+fn bench_zoo_powerset_early_exit(reps: usize) -> Sample {
+    const CALLS: usize = 40;
+    let (net, regions, target) = zoo_powerset_regions();
+    let choice = DomainChoice::powerset(BaseDomain::Zonotope, 2);
+    let (mut naive_ws, mut fast_ws) = (Workspace::new(), Workspace::new());
+    let mut proved = 0;
+    for region in &regions {
+        let naive = layer_major_margin(&net, region, target, &mut naive_ws);
+        let (outcome, fast) = domains::analyze_margin_checked_ws(&net, region, target, choice, &mut fast_ws);
+        assert_eq!(
+            outcome == domains::AnalysisOutcome::Proved,
+            naive > 0.0,
+            "zoo_powerset_early_exit outcome"
+        );
+        assert!(
+            !naive.is_nan() && outcome != domains::AnalysisOutcome::Poisoned,
+            "zoo_powerset_early_exit poisoned"
+        );
+        if naive > 0.0 {
+            assert_eq!(naive.to_bits(), fast.to_bits(), "zoo_powerset_early_exit margin");
+            proved += 1;
+        }
+    }
+    let (naive_s, fast_s) = time_alternating(
+        reps,
+        || {
+            (0..CALLS)
+                .map(|c| layer_major_margin(&net, &regions[c % regions.len()], target, &mut naive_ws))
                 .sum()
         },
         || {
@@ -641,11 +720,12 @@ fn bench_zoo_checked_propagation(reps: usize) -> Sample {
         },
     );
     Sample {
-        name: "zoo_checked_propagation",
+        name: "zoo_powerset_early_exit",
         naive_s,
         fast_s,
         note: format!(
-            "analyze_margin_checked_ws (Z, 2), 64 -> 8x64 -> 10 MLP, scan after every layer vs shipped, {CALLS} regions"
+            "(Z, 2), 64 -> 8x64 -> 10 MLP, layer-major vs disjunct-major analysis, {CALLS} regions, {proved} of {} proved",
+            regions.len()
         ),
     }
 }
@@ -701,6 +781,7 @@ fn validate_json(json: &str) {
         "\"name\": \"attack_pgd\"",
         "\"name\": \"zoo_attack_eval\"",
         "\"name\": \"zoo_checked_propagation\"",
+        "\"name\": \"zoo_powerset_early_exit\"",
         "\"speedup\":",
         "\"phases\":",
     ] {
@@ -734,6 +815,7 @@ fn main() {
         bench_attack_pgd(reps),
         bench_zoo_attack_eval(reps),
         bench_zoo_checked_propagation(reps),
+        bench_zoo_powerset_early_exit(reps),
     ];
 
     println!("kernel perf ({}):", if smoke { "smoke" } else { "full" });

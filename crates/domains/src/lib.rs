@@ -55,7 +55,10 @@
 //! [`AnalysisOutcome::Poisoned`] instead of silently propagating NaN
 //! bounds, and the verifier reacts by retrying the region on the
 //! interval domain. A NaN class term makes the margin NaN, and so
-//! `Poisoned`, too.
+//! `Poisoned`, too. A powerset analysis stops at the first disjunct that
+//! cannot prove the margin, so a disjunct after it that would turn NaN
+//! never runs, and the result is `Inconclusive` (see
+//! [`analyze_margin_checked_ws`]).
 //!
 //! Every intermediate element is checked once, and most checks cost no
 //! scan: a ReLU checks its own input and output
@@ -134,7 +137,15 @@ pub struct Workspace {
 impl Workspace {
     /// Maximum number of buffers retained in the pool; beyond this,
     /// returned buffers are simply dropped.
-    const MAX_POOLED: usize = 64;
+    ///
+    /// Buffers made outside the pool (a zonotope's `from_bounds`, the
+    /// meets' clones, a ReLU's row growth) are recycled into it too, so
+    /// the pool fills to its bound: at 64 it held 2.7–3.4 MB per worker. Eight holds the working set of an affine step on a
+    /// `(Z, 3)` element (three disjuncts of two buffers each). On the
+    /// Fig. 6 e2ebench workloads (2-vCPU AVX-512 Xeon, 8 s runs), caps of
+    /// 4, 8 and 16 read the same throughput; 8 read 5.1 MB peak heap on
+    /// `fig6-nocex-par2` against 5.6 MB at 16 and 7.5 MB at 32.
+    const MAX_POOLED: usize = 8;
 
     /// Creates an empty workspace.
     pub fn new() -> Self {
@@ -364,22 +375,51 @@ pub fn propagate_checked_ws<E: AbstractElement>(
     element: E,
     ws: &mut Workspace,
 ) -> Option<E> {
-    use std::time::Instant;
-    assert_eq!(
-        element.dim(),
-        net.input_dim(),
-        "element dimension must match network input"
-    );
     ws.layer_seconds.clear();
+    checked_layers(net, 0, element, ws, |_| false).map(|(e, _)| e)
+}
+
+/// The checked step of [`propagate_checked_ws`] over layers `from..` of
+/// `net`: stops after the first layer whose output satisfies `stop`, and
+/// returns that output with the index of the next layer (the number of
+/// layers when every one ran), or `None` on poisoning.
+///
+/// Each layer's seconds are added to its entry of
+/// [`Workspace::layer_seconds`], which is pushed when the entry does not
+/// exist yet, so propagating several elements in turn from the same
+/// layer sums their times. `from` must not exceed the buffer's length.
+///
+/// The input is scanned only when `from` is 0 and no ReLU comes first.
+/// Elsewhere the step that made it has checked it already, unless layer
+/// `from` is a ReLU, whose own input check then finds the poison.
+///
+/// # Panics
+///
+/// Panics if `from` is 0 and `element.dim() != net.input_dim()`.
+fn checked_layers<E: AbstractElement>(
+    net: &Network,
+    from: usize,
+    element: E,
+    ws: &mut Workspace,
+    stop: impl Fn(&E) -> bool,
+) -> Option<(E, usize)> {
+    use std::time::Instant;
     let layers = net.layers();
     let feeds_relu = |k: usize| matches!(layers.get(k), Some(Layer::Relu));
-    if !feeds_relu(0) && element.is_poisoned() {
-        return None;
+    if from == 0 {
+        assert_eq!(
+            element.dim(),
+            net.input_dim(),
+            "element dimension must match network input"
+        );
+        if !feeds_relu(0) && element.is_poisoned() {
+            return None;
+        }
     }
     let transposed = net.transposed();
     let mut current = element;
     let mut start = Instant::now();
-    for (k, layer) in layers.iter().enumerate() {
+    for (k, layer) in layers.iter().enumerate().skip(from) {
         let next = match layer {
             Layer::Affine(a) => {
                 let next = current.affine_ws(a, transposed.and_then(|t| t[k].as_ref()), ws);
@@ -399,11 +439,18 @@ pub fn propagate_checked_ws<E: AbstractElement>(
             matches!(layer, Layer::Relu) || feeds_relu(k + 1) || !e.is_poisoned()
         });
         let end = Instant::now();
-        ws.layer_seconds.push((end - start).as_secs_f64());
+        let seconds = (end - start).as_secs_f64();
+        match ws.layer_seconds.get_mut(k) {
+            Some(total) => *total += seconds,
+            None => ws.layer_seconds.push(seconds),
+        }
         start = end;
         current = next?;
+        if stop(&current) {
+            return Some((current, k + 1));
+        }
     }
-    Some(current)
+    Some((current, layers.len()))
 }
 
 /// The base abstract domains selectable by a verification policy.
@@ -520,17 +567,43 @@ pub fn analyze(net: &Network, region: &Bounds, target: usize, choice: DomainChoi
 ///
 /// Every intermediate element and the final margin bound are checked for
 /// NaN, and [`AnalysisOutcome::Poisoned`] is reported instead of silently
-/// comparing NaN against zero. The second component is the value of
-/// [`AbstractElement::margin_lower_bound`] on the propagated element: it
-/// is positive exactly when the outcome is [`AnalysisOutcome::Proved`],
-/// non-positive when [`AnalysisOutcome::Inconclusive`], and NaN when
+/// comparing NaN against zero. The second component is a margin: positive
+/// exactly when the outcome is [`AnalysisOutcome::Proved`], non-positive
+/// when [`AnalysisOutcome::Inconclusive`], and NaN when
 /// [`AnalysisOutcome::Poisoned`] (or when the region itself contains
-/// NaN). Proof-certificate emission records this margin per verified
-/// leaf so an auditor can cross-check the claim.
+/// NaN). A proved margin is the value of
+/// [`AbstractElement::margin_lower_bound`] on the propagated element, bit
+/// for bit; proof-certificate emission records it per verified leaf so an
+/// auditor can cross-check the claim.
+///
+/// # Powersets: disjunct-major
+///
+/// A powerset proves the region only if every disjunct proves the margin.
+/// Once the element holds its budget of disjuncts, its ReLU can no longer
+/// split, so each disjunct evolves alone. From that layer on, the
+/// disjuncts are finished one at a time, in element order, through the
+/// same checked step (each as a one-disjunct element with budget 1, whose
+/// ReLU is the full element's no-split ReLU of that disjunct, bit for
+/// bit), and the analysis stops at the first one that does not prove its
+/// margin; the rest never run. Two consequences:
+///
+/// * the margin returned with [`AnalysisOutcome::Inconclusive`] is the
+///   first failing disjunct's: it is ≤ 0, and at least the margin of the
+///   whole element;
+/// * a disjunct that would turn NaN after an earlier one has finished
+///   with a margin ≤ 0 (and no NaN) is never run, so the result is
+///   `Inconclusive` where running every disjunct would give `Poisoned`.
+///   That is sound: the earlier disjunct has already shown the region
+///   cannot be proved with this domain.
+///
+/// [`AnalysisOutcome::Proved`] needs every disjunct, and their margins are
+/// folded in element order as [`AbstractElement::margin_lower_bound`]
+/// folds them, so a proved margin keeps its bits.
 ///
 /// The propagation is timed per layer into [`Workspace::layer_seconds`]
-/// (see [`propagate_checked_ws`]); the buffer is empty when the region
-/// contains NaN and nothing ran.
+/// (see [`propagate_checked_ws`]), each layer's seconds summed over the
+/// disjuncts that ran it; the buffer is empty when the region contains
+/// NaN and nothing ran.
 ///
 /// # Panics
 ///
@@ -559,15 +632,38 @@ pub fn analyze_margin_checked_ws(
             target,
             ws,
         ),
-        (BaseDomain::Interval, k) => {
-            let element = Powerset::<Interval>::with_budget(region, k);
-            margin_outcome(propagate_checked_ws(net, element, ws), target, ws)
-        }
-        (BaseDomain::Zonotope, k) => {
-            let element = Powerset::<Zonotope>::with_budget(region, k);
-            margin_outcome(propagate_checked_ws(net, element, ws), target, ws)
-        }
+        (BaseDomain::Interval, k) => analyze_powerset::<Interval>(net, region, target, k, ws),
+        (BaseDomain::Zonotope, k) => analyze_powerset::<Zonotope>(net, region, target, k, ws),
     }
+}
+
+/// The disjunct-major powerset analysis of [`analyze_margin_checked_ws`]:
+/// the whole element up to the layer that fills it, then each disjunct
+/// alone until the first that does not prove the margin.
+fn analyze_powerset<D: ReluCoordOps>(
+    net: &Network,
+    region: &Bounds,
+    target: usize,
+    budget: usize,
+    ws: &mut Workspace,
+) -> (AnalysisOutcome, f64) {
+    let element = Powerset::<D>::with_budget(region, budget);
+    ws.layer_seconds.clear();
+    let Some((element, next)) = checked_layers(net, 0, element, ws, Powerset::is_full) else {
+        return (AnalysisOutcome::Poisoned, f64::NAN);
+    };
+    let mut margin = f64::INFINITY;
+    let mut disjuncts = element.into_disjuncts().into_iter();
+    while let Some(d) = disjuncts.next() {
+        let alone = checked_layers(net, next, Powerset::alone(d), ws, |_| false);
+        let (outcome, m) = margin_outcome(alone.map(|(e, _)| e), target, ws);
+        if outcome != AnalysisOutcome::Proved {
+            disjuncts.for_each(|rest| rest.recycle(ws));
+            return (outcome, m);
+        }
+        margin = min_or_nan(margin, m);
+    }
+    (AnalysisOutcome::Proved, margin)
 }
 
 fn margin_outcome<E: AbstractElement>(
@@ -708,4 +804,29 @@ pub(crate) fn project_nonpositive<D: ReluCoordOps>(d: &mut D, lower: &[f64], upp
 /// Whether every bound in `lower` and `upper` is finite.
 pub(crate) fn all_finite(lower: &[f64], upper: &[f64]) -> bool {
     lower.iter().chain(upper).all(|v| v.is_finite())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// However many buffers come back, the pool keeps at most
+    /// `MAX_POOLED`, and it still hands each one out again.
+    #[test]
+    fn the_pool_never_holds_more_than_its_bound() {
+        let mut ws = Workspace::new();
+        for len in 1..=4 * Workspace::MAX_POOLED {
+            ws.give(vec![1.0; len]);
+            assert!(ws.pooled() <= Workspace::MAX_POOLED, "{} pooled", ws.pooled());
+        }
+        assert_eq!(ws.pooled(), Workspace::MAX_POOLED);
+        let taken: Vec<Vec<f64>> = (0..Workspace::MAX_POOLED).map(|_| ws.take(3)).collect();
+        assert_eq!(ws.pooled(), 0);
+        assert!(taken.iter().all(|v| v.len() == 3 && v.iter().all(|&x| x == 0.0)));
+        for v in taken {
+            ws.give(v);
+        }
+        ws.give(vec![0.0; 5]);
+        assert_eq!(ws.pooled(), Workspace::MAX_POOLED);
+    }
 }

@@ -59,6 +59,29 @@ impl<D: ReluCoordOps> Powerset<D> {
         self.budget
     }
 
+    /// Whether the element holds its budget of disjuncts. Its ReLU can
+    /// then no longer split, nor drop a disjunct, so it stays full and
+    /// each disjunct evolves alone.
+    pub(crate) fn is_full(&self) -> bool {
+        self.disjuncts.len() == self.budget
+    }
+
+    /// The disjuncts, in element order.
+    pub(crate) fn into_disjuncts(self) -> Vec<D> {
+        self.disjuncts
+    }
+
+    /// `d` as a one-disjunct element with budget 1. Its ReLU is the
+    /// no-split ReLU a full element runs on each disjunct
+    /// ([`ReluCoordOps::relax_and_project`], with the same checks), so
+    /// it evolves `d` bit for bit as a full element would.
+    pub(crate) fn alone(d: D) -> Self {
+        Powerset {
+            disjuncts: vec![d],
+            budget: 1,
+        }
+    }
+
     /// Collects the unstable coordinates `(i, lo, hi)` of the cached
     /// bounds into `out`, widest straddle first. Ties keep index order,
     /// and the in-place sort never allocates.

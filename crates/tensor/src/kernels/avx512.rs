@@ -86,6 +86,10 @@ fn matvec_wt(w: &[f64], wt: &[f64], x: &[f64], finite: bool, out: &mut [f64]) {
     unsafe { matvec_wt_impl(w, wt, x, finite, out) }
 }
 
+/// The stack panel of [`matmul_transb_impl`], on a 64-byte boundary.
+#[repr(align(64))]
+struct PackBuf([MaybeUninit<f64>; 8 * KB]);
+
 /// `out = A · Bᵀ` with the 4×8 tile. Per k-tile, the blocks of eight
 /// right rows are packed a panel at a time, as many as the stack buffer
 /// holds (all of a 64-wide zoo layer, one block at the full 512-wide
@@ -108,8 +112,10 @@ unsafe fn matmul_transb_impl(a: &[f64], b: &[f64], m: usize, n: usize, k: usize,
     }
     out.fill(0.0);
     // Left uninitialized: zeroing 32 KiB would cost more than a small
-    // product, and the tile reads only what `pack8` wrote.
-    let mut pack = [MaybeUninit::<f64>::uninit(); 8 * KB];
+    // product, and the tile reads only what `pack8` wrote. Cache-line
+    // aligned, so each tile's eight-value loads never straddle two lines.
+    let mut pack = PackBuf([MaybeUninit::<f64>::uninit(); 8 * KB]);
+    let pack = &mut pack.0;
     let (m4, n8, n4) = (m & !3, n & !7, n & !3);
     let mut k0 = 0;
     while k0 < k {

@@ -20,15 +20,16 @@ cargo test -q --release --offline --manifest-path e2ebench/Cargo.toml
 # Long property pass: the SIMD and kernel equivalence suites (the
 # bit-exact `matvec_wt` and `matmul_transb_wt` ones among them), the
 # zonotope and bit-exact ReLU equivalence suites, the checked
-# propagation's poison-parity suite, the transposed-copy parity suite
-# and the certificate tamper suite at 256 cases instead of the default
+# propagation's poison-parity suite, the transposed-copy parity suite,
+# the disjunct-major powerset analysis's parity suite and the
+# certificate tamper suite at 256 cases instead of the default
 # 24 (`PROPTEST_CASES` raises every `proptest!` block that does not fix
 # its own count).
 PROPTEST_CASES=256 cargo test -q --release -p tensor \
   --test simd_equivalence --test kernel_equivalence
 PROPTEST_CASES=256 cargo test -q --release -p domains \
   --test zonotope_equivalence --test relu_equivalence --test poison_parity \
-  --test transposed_parity
+  --test transposed_parity --test disjunct_major_parity
 PROPTEST_CASES=256 cargo test -q --release -p cert --test tamper
 
 # Portable-fallback gate: the same suite with scalar kernels forced, so
@@ -52,6 +53,7 @@ grep -q '"name": "zoo_affine"' "$smoke_out"
 grep -q '"name": "scheduler_throughput"' "$smoke_out"
 grep -q '"name": "zoo_attack_eval"' "$smoke_out"
 grep -q '"name": "zoo_checked_propagation"' "$smoke_out"
+grep -q '"name": "zoo_powerset_early_exit"' "$smoke_out"
 grep -q '"phases":' "$smoke_out"
 rm -f "$smoke_out"
 
